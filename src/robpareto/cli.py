@@ -4,8 +4,10 @@ Subcommands: classify (efficiency CSV), scalarize (worst-case minimization),
 sweep (p-norm study with figure data), phantom (generated fixture emission),
 report (witness re-verification and randomized self-checks).
 
-Exit codes are a stable contract: 0 success, 2 input error, 3 empty or
-degenerate model, 4 I/O failure.  Output files are written atomically
+Exit codes are a stable contract: 0 success, 1 report found violations,
+2 input error, 3 empty or degenerate model, 4 I/O failure, 5 internal
+failure (a stalled LP solve or a violated internal invariant, reported in
+one line).  Output files are written atomically
 (temp file + rename) so partial artifacts never land under the final name.
 """
 from __future__ import annotations
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 _NOTIONS = ("robust", "convex_hull", "objectivewise", "set_valued")
 
@@ -631,6 +634,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
+    except RuntimeError as exc:  # SolverStalledError and invariant violations
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_OK
 

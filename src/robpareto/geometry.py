@@ -60,6 +60,88 @@ def _anchor_array(anchors) -> tuple:
     return arr, [str(i) for i in range(arr.shape[0])]
 
 
+def _gapped(y, z, strict_tol: float) -> np.ndarray:
+    """(len(y), len(z)) mask of (z[k] - y[r]).max() > strict_tol."""
+    return (z[None, :, :] - y[:, None, :]).max(axis=2) > strict_tol
+
+
+def _below(y, z, eq_tol: float) -> np.ndarray:
+    """(len(y), len(z)) mask of y[r] <= z[k] + eq_tol in every coordinate."""
+    return (y[:, None, :] <= z[None, :, :] + eq_tol).all(axis=2)
+
+
+def _first_hit_witnesses(y, z, ids, hits) -> list:
+    """Witness of each row of y by its first hit anchor."""
+    first = hits.argmax(axis=1)
+    gaps = np.maximum(z[first] - y, 0.0).sum(axis=1)
+    return [DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k])
+            for k, g in zip(first.tolist(), gaps.tolist())]
+
+
+def point_witnesses(y, z, ids, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> Optional[list]:
+    """Plain witnesses for every row of y against the anchor rows z (ids names them).
+
+    Each row gets the first anchor with y <= z within eq_tol and a gap >
+    strict_tol, as dominated_by_point_set would give it; None if some row
+    has no such anchor.
+    """
+    hits = _below(y, z, eq_tol) & _gapped(y, z, strict_tol)
+    if not hits.any(axis=1).all():
+        return None
+    return _first_hit_witnesses(y, z, ids, hits)
+
+
+def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[list]:
+    """Hull witnesses for every row of y, or None if some row is not dominated.
+
+    Per row: the exact prechecks, then a single anchor dominating without
+    slack, then the LP; a row that none of these settles falls back to the
+    plain test within eq_tol.  LPs run only for unsettled rows, in order,
+    and only once every row has passed a precheck or the fallback.
+    """
+    # exact prechecks: the box bound and the total-sum bound are necessary
+    ysum = y.sum(axis=1)
+    pre = ~(y > z.max(axis=0) + eq_tol).any(axis=1) & (z.sum(axis=1).max() - ysum > strict_tol)
+    gapped = _gapped(y, z, strict_tol)
+    tolerant = _below(y, z, eq_tol) & gapped
+    has_tolerant = tolerant.any(axis=1)
+    if not (pre | has_tolerant).all():
+        return None
+    exact = _below(y, z, 0.0) & gapped & pre[:, None]
+    has_exact = exact.any(axis=1)
+    witnesses = _first_hit_witnesses(y, z, ids, np.where(has_exact[:, None], exact, tolerant))
+    for w in witnesses:
+        w.weights = {w.anchor_id: 1.0}
+    for r in np.flatnonzero(pre & ~has_exact):
+        w = _lp_witness(y[r], ysum[r], z, ids, strict_tol)
+        if w is not None:
+            witnesses[r] = w
+        elif not has_tolerant[r]:
+            return None
+    return witnesses
+
+
+def _lp_witness(y, ysum, z, ids, strict_tol: float) -> Optional[DominanceWitness]:
+    # solver roundoff on c is ~1e-15, so the certificate re-verifies at eq_tol
+    lam = _hull_improvement(y, z, 0.0)
+    if lam is None:
+        return None
+    c = z.T @ lam
+    gap = float(np.maximum(c - y, 0.0).sum())
+    if float(c.sum() - ysum) <= strict_tol:
+        return None
+    weights = {ids[j]: float(lam[j]) for j in range(len(ids)) if lam[j] > 1e-12}
+    return DominanceWitness(kind="hull", point=c, gap=gap, weights=weights)
+
+
+def _single_point(y, anchors, anchor_ids) -> tuple:
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    z, ids = _anchor_array(anchors)
+    if anchor_ids is not None:
+        ids = list(anchor_ids)
+    return y, z, ids
+
+
 def dominated_by_point_set(
     y,
     anchors,
@@ -68,21 +150,9 @@ def dominated_by_point_set(
     strict_tol: float = STRICT_TOL,
 ) -> Optional[DominanceWitness]:
     """First anchor (in the given order) with y <= z within eq_tol and a gap > strict_tol."""
-    y = np.asarray(y, dtype=float)
-    z, ids = _anchor_array(anchors)
-    if anchor_ids is not None:
-        ids = list(anchor_ids)
-    ok = np.all(y <= z + eq_tol, axis=1) & ((z - y).max(axis=1) > strict_tol)
-    hits = np.flatnonzero(ok)
-    if hits.size == 0:
-        return None
-    j = int(hits[0])
-    return DominanceWitness(
-        kind="point",
-        point=z[j],
-        gap=float(np.maximum(z[j] - y, 0.0).sum()),
-        anchor_id=ids[j],
-    )
+    y, z, ids = _single_point(y, anchors, anchor_ids)
+    found = point_witnesses(y, z, ids, eq_tol, strict_tol)
+    return None if found is None else found[0]
 
 
 def dominated_by_hull(
@@ -95,38 +165,18 @@ def dominated_by_hull(
     """Hull membership test: maximize sum(c - y) over c in conv(anchors), c >= y.
 
     Returns a witness iff the restricted region is nonempty and the optimum
-    exceeds strict_tol.  The feasibility constraint is exact: any positive
-    slack lets a sliver of weight on a far anchor fabricate a gain of order
-    slack times the anchor spread, which can cross strict_tol.  eq_tol is
-    still honored by the quick rejection bound and by witness re-checks.
+    exceeds strict_tol, or iff y is dominated by a single anchor within
+    eq_tol.  The feasibility constraint is exact: any positive slack lets a
+    sliver of weight on a far anchor fabricate a gain of order slack times
+    the anchor spread, which can cross strict_tol.  eq_tol is still honored
+    by the quick rejection bound, by witness re-checks, and by the plain
+    fallback: where the LP test finds nothing, the eq_tol point test decides
+    and its witness carries weight 1 on its anchor.  So plain dominance
+    implies hull dominance under the same tolerances.
     """
-    y = np.asarray(y, dtype=float)
-    z, ids = _anchor_array(anchors)
-    if anchor_ids is not None:
-        ids = list(anchor_ids)
-
-    # exact prechecks: the box bound and the total-sum bound are necessary
-    if np.any(y > z.max(axis=0) + eq_tol):
-        return None
-    colsum = z.sum(axis=1)
-    if colsum.max() - y.sum() <= strict_tol:
-        return None
-    # a single dominating anchor settles it without the LP
-    point = dominated_by_point_set(y, z, ids, eq_tol=0.0, strict_tol=strict_tol)
-    if point is not None:
-        point.weights = {point.anchor_id: 1.0}
-        return point
-
-    # solver roundoff on c is ~1e-15, so the certificate re-verifies at eq_tol
-    lam = _hull_improvement(y, z, 0.0)
-    if lam is None:
-        return None
-    c = z.T @ lam
-    gap = float(np.maximum(c - y, 0.0).sum())
-    if float(c.sum() - y.sum()) <= strict_tol:
-        return None
-    weights = {ids[j]: float(lam[j]) for j in range(len(ids)) if lam[j] > 1e-12}
-    return DominanceWitness(kind="hull", point=c, gap=gap, weights=weights)
+    y, z, ids = _single_point(y, anchors, anchor_ids)
+    found = _hull_witnesses(y, z, ids, eq_tol, strict_tol)
+    return None if found is None else found[0]
 
 
 def _hull_improvement(y, z, slack) -> Optional[np.ndarray]:
@@ -151,17 +201,16 @@ def image_dominates(a: ObjectiveImage, b: ObjectiveImage, mode: str = "plain",
 
     True when every point of a is dominated (in the chosen mode) by b's
     anchor set; returns the per-scenario witness map then, None otherwise.
-    The relation is irreflexive: an image never dominates itself.
+    The relation is irreflexive: an image never dominates itself.  All
+    points are tested in one batch; the witnesses equal those of the
+    per-point tests.
     """
     _check_mode(mode)
-    test = dominated_by_point_set if mode == "plain" else dominated_by_hull
-    witnesses = {}
-    for sid, y in a.points():
-        w = test(y, b.values, list(b.scenario_ids), eq_tol=eq_tol, strict_tol=strict_tol)
-        if w is None:
-            return None
-        witnesses[sid] = w
-    return witnesses
+    batch = point_witnesses if mode == "plain" else _hull_witnesses
+    found = batch(a.values, b.values, list(b.scenario_ids), eq_tol, strict_tol)
+    if found is None:
+        return None
+    return dict(zip(a.scenario_ids, found))
 
 
 def signed_distance(y, anchors, mode: str = "plain") -> float:

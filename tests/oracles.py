@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: brute-force enumeration, dense grids,
 and small closed-form solves.  None of it shares code with the package under
-test beyond numpy.
+test beyond numpy, with one exception: reference_classify builds images with
+Instance.image and solves its hull LPs with the package's LP kernel, because
+it pins the scans and witnesses built on top of them, down to the last bit.
 """
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,3 +181,129 @@ def random_hull_query(rng):
     anchors = rng.integers(0, 19, size=(m, 2)) / 2.0
     y = rng.integers(0, 19, size=2) / 2.0
     return y, anchors
+
+
+# ---------------------------------------------------------------------------
+# reference classifier: one candidate, one pair and one point at a time
+
+
+class RefWitness(NamedTuple):
+    kind: str
+    point: np.ndarray
+    gap: float
+    anchor_id: object = None
+    weights: object = None
+
+
+def _ref_point(y, z, ids, eq_tol, strict_tol):
+    """First anchor z[k] with y <= z[k] + eq_tol and a gap > strict_tol."""
+    for k in range(z.shape[0]):
+        if np.all(y <= z[k] + eq_tol) and (z[k] - y).max() > strict_tol:
+            return RefWitness("point", z[k], float(np.maximum(z[k] - y, 0.0).sum()), ids[k])
+    return None
+
+
+def _ref_hull_lp(y, z, ids, eq_tol, strict_tol):
+    from robpareto.linprog import LpProblem, lp_solve
+
+    if np.any(y > z.max(axis=0) + eq_tol) or z.sum(axis=1).max() - y.sum() <= strict_tol:
+        return None
+    w = _ref_point(y, z, ids, 0.0, strict_tol)
+    if w is not None:
+        return w._replace(weights={w.anchor_id: 1.0})
+    m = z.shape[0]
+    res = lp_solve(LpProblem(c=-z.sum(axis=1), a_ub=-z.T, b_ub=-(y - 0.0),
+                             a_eq=np.ones((1, m)), b_eq=np.array([1.0])))
+    if res.status != "optimal":
+        return None
+    lam = res.x
+    c = z.T @ lam
+    if float(c.sum() - y.sum()) <= strict_tol:
+        return None
+    weights = {ids[k]: float(lam[k]) for k in range(m) if lam[k] > 1e-12}
+    return RefWitness("hull", c, float(np.maximum(c - y, 0.0).sum()), None, weights)
+
+
+def _ref_hull(y, z, ids, eq_tol, strict_tol):
+    """Hull test with the plain eq_tol test as the fallback."""
+    w = _ref_hull_lp(y, z, ids, eq_tol, strict_tol)
+    if w is None:
+        w = _ref_point(y, z, ids, eq_tol, strict_tol)
+        if w is not None:
+            w = w._replace(weights={w.anchor_id: 1.0})
+    return w
+
+
+def _ref_image_dominates(a_ids, a_vals, b_ids, b_vals, mode, eq_tol, strict_tol):
+    test = _ref_point if mode == "plain" else _ref_hull
+    witnesses = {}
+    for sid, y in zip(a_ids, a_vals):
+        w = test(y, b_vals, list(b_ids), eq_tol, strict_tol)
+        if w is None:
+            return None
+        witnesses[sid] = w
+    return witnesses
+
+
+def _ref_search_order(cands):
+    vertices = sorted((int(np.argmax(c)), i) for i, c in enumerate(cands)
+                      if not isinstance(c, str) and max(c) == 1.0)
+    first = [i for _, i in vertices]
+    return first + [i for i in range(len(cands)) if i not in first]
+
+
+def _ref_scan(images, order, j, mode, eq_tol, strict_tol):
+    """(i, witnesses) of the first i in order whose image dominates image j."""
+    vals = [v for _, v in images]
+    sup = np.array([v.max(axis=0) for v in vals])
+    maxsum = np.array([v.sum(axis=1).max() for v in vals])
+    margin = strict_tol - (sup.shape[1] - 1) * eq_tol
+    for i in order:
+        if i == j or not (np.all(sup[i] <= sup[j] + eq_tol) and maxsum[i] < maxsum[j] - margin):
+            continue
+        if mode == "plain":
+            diff = vals[j][None, :, :] - vals[i][:, None, :]
+            gate = np.all(diff >= -eq_tol, axis=2) & (diff.max(axis=2) > strict_tol)
+            if not gate.any(axis=1).all():
+                continue
+        w = _ref_image_dominates(images[i][0], vals[i], images[j][0], vals[j], mode, eq_tol, strict_tol)
+        if w is not None:
+            return i, w
+    return None
+
+
+def reference_classify(instance, eq_tol: float = 1e-9, strict_tol: float = 1e-9) -> list:
+    """Per candidate: (flags, {notion: (dominator index, witnesses)}).
+
+    Flags are (robust, convex_hull, objectivewise, set_valued); a dominator
+    is the first one in search order (simplex vertices, then enumeration).
+    """
+    cands = instance.candidate_list()
+    images = []
+    for c in cands:
+        img = instance.image(c)
+        images.append((img.scenario_ids, img.values))
+    filtered = []
+    for sids, v in images:
+        keep = pareto_max_filter(v, eq_tol, strict_tol)
+        filtered.append((tuple(sids[k] for k in keep), v[keep]))
+    order = _ref_search_order(cands)
+    base = "hull" if instance.scenario_hull else "plain"
+    out = []
+    for j in range(len(cands)):
+        doms = {}
+        for notion, imgs, mode in (("robust", images, base), ("convex_hull", images, "hull"),
+                                   ("set_valued", filtered, base)):
+            hit = _ref_scan(imgs, order, j, mode, eq_tol, strict_tol)
+            if hit is not None:
+                doms[notion] = hit
+        corner = images[j][1].max(axis=0)
+        for i in order:
+            v = images[i][1]
+            if i != j and np.all(v <= corner + eq_tol) and np.all((corner - v).max(axis=1) > strict_tol):
+                doms["objectivewise"] = i, _ref_image_dominates(
+                    images[i][0], v, ["sup-corner"], corner[None, :], "plain", eq_tol, strict_tol)
+                break
+        flags = tuple(k not in doms for k in ("robust", "convex_hull", "objectivewise", "set_valued"))
+        out.append((flags, doms))
+    return out

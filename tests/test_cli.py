@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from robpareto.cli import main
+from robpareto.cli import EXIT_INTERNAL, main
 from robpareto.core import builtin_instance, load_instance, save_instance
+from robpareto.linprog import SolverStalledError
 
 HEADER = (
     "candidate,robust_efficient,convex_hull_efficient,"
@@ -61,6 +62,21 @@ class TestClassify:
             code, from_file, _ = run(capsys, "classify", str(path))
             assert code == 0
             assert from_file == direct
+
+    def test_near_tie_nesting(self, capsys, tmp_path):
+        # B is plain-dominated by A only through the eq_tol slack
+        path = tmp_path / "near_tie.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "scenarios": {"ids": ["1"]},
+            "objectives": {"table": {"A": {"1": [0, 0]}, "B": {"1": [-0.5e-9, 1.5e-9]}}},
+            "candidates": {"explicit": ["A", "B"]},
+        }))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 0, err
+        row = parse_csv(out)["B"]
+        assert row["robust_efficient"] == row["convex_hull_efficient"] == "false"
+        assert "robust:A; convex_hull:A" in row["dominator"]
 
     def test_emit_writes_csv_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
@@ -300,17 +316,23 @@ class TestErrorPaths:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("exc", [
+        SolverStalledError("optimal basis violates a variable bound"),
+        RuntimeError("invariant violated: candidate x is convex-hull efficient but not robust efficient"),
+    ])
+    def test_internal_failure_one_line(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("robpareto.cli.classify", fail)
+        code, out, err = run(capsys, "classify", "--builtin", "problem-1")
+        assert code == EXIT_INTERNAL == 5
+        assert out == ""
+        assert err == f"error: internal: {exc}\n"
+
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         save_instance(builtin_instance("problem-1"), path)
         code, _, err = run(capsys, "classify", str(path), "--builtin", "problem-1")
         assert code == 2
 
-
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    _, base, _ = run(capsys, "classify", "--builtin", "problem-1")
-    monkeypatch.setenv("ROBPARETO_THREADS", "1")
-    _, single, _ = run(capsys, "classify", "--builtin", "problem-1")
-    monkeypatch.setenv("ROBPARETO_THREADS", "4")
-    _, multi, _ = run(capsys, "classify", "--builtin", "problem-1")
-    assert base == single == multi

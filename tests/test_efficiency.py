@@ -1,6 +1,7 @@
 """Candidate classification across the four efficiency notions."""
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from robpareto.core import (
     AffineFamilyObjectives,
@@ -12,9 +13,10 @@ from robpareto.core import (
     TableObjectives,
 )
 from robpareto.efficiency import classify, pareto_filter_max, set_valued_minimizers
+from robpareto.linprog import SolverStalledError
 from robpareto.testing import random_hyperrectangle_values, random_instance
 
-from oracles import pareto_min_filter
+from oracles import pareto_min_filter, reference_classify
 
 
 def test_problem1_all_candidates_robust(problem1):
@@ -218,10 +220,103 @@ def test_collinear_images_plain_equals_hull(rng):
             assert res.robust_efficient == res.convex_hull_efficient
 
 
-def test_thread_count_does_not_change_labels(problem1):
-    base = classify(problem1, threads=1)
-    multi = classify(problem1, threads=4)
-    for a, b in zip(base.results, multi.results):
-        assert a.candidate == b.candidate
-        for kind in ("robust", "convex_hull", "objectivewise", "set_valued"):
-            assert a.flag(kind) == b.flag(kind)
+# perturbations at the eq_tol / strict_tol scale put ties on both sides of
+# every tolerance comparison
+_NEAR_TIE = st.sampled_from([0.0, 0.0, -1.5e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 1.5e-9])
+
+
+@st.composite
+def _table_instances(draw):
+    n = draw(st.integers(1, 3))
+    sids = tuple(f"s{k}" for k in range(draw(st.integers(1, 3))))
+    count = draw(st.integers(1, 7))
+    perturb = draw(st.booleans())
+
+    def vector():
+        base = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        return [b + (draw(_NEAR_TIE) if perturb else 0.0) for b in base]
+
+    values = {f"c{i}": {sid: vector() for sid in sids} for i in range(count)}
+    return Instance(
+        n=n,
+        scenarios=ScenarioSet(ids=sids),
+        objectives=TableObjectives(values),
+        candidates=ExplicitCandidates(tuple(values)),
+        scenario_hull=draw(st.booleans()),
+    )
+
+
+@st.composite
+def _lattice_instances(draw):
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(2, 3))
+    sids = tuple(f"s{k}" for k in range(draw(st.integers(1, 3))))
+    family = {
+        sid: np.array(draw(st.lists(st.integers(0, 4), min_size=n * dim, max_size=n * dim)),
+                      dtype=float).reshape(n, dim)
+        for sid in sids
+    }
+    return Instance(
+        n=n,
+        scenarios=ScenarioSet(ids=sids),
+        objectives=AffineFamilyObjectives(family),
+        candidates=SimplexCandidates(dim=dim, step=draw(st.sampled_from([0.5, 0.25]))),
+        scenario_hull=draw(st.booleans()),
+    )
+
+
+def _assert_matches_reference(inst):
+    cands = inst.candidate_list()
+    try:
+        expected = reference_classify(inst)
+    except SolverStalledError:
+        # the LP kernel stalls on some near-tie data; classify solves a
+        # subset of the reference's LPs, so it may or may not stall there
+        reject()
+    except ValueError:
+        # near-ties can make every point of an image drop out of its Pareto
+        # filter; both sides then fail on the empty image alike
+        with pytest.raises(ValueError):
+            classify(inst)
+        return
+    report = classify(inst)
+    assert len(report.results) == len(expected)
+    for res, (flags, doms) in zip(report.results, expected):
+        got_flags = tuple(res.flag(k) for k in ("robust", "convex_hull", "objectivewise", "set_valued"))
+        assert got_flags == flags, res.label
+        assert set(res.dominators) == set(doms), res.label
+        for kind, (i, witnesses) in doms.items():
+            dom = res.dominators[kind]
+            assert dom.candidate == cands[i], (res.label, kind)
+            assert list(dom.witnesses) == list(witnesses)
+            for sid, ref in witnesses.items():
+                w = dom.witnesses[sid]
+                assert (w.kind, w.gap, w.anchor_id, w.weights) == (ref.kind, ref.gap, ref.anchor_id, ref.weights)
+                assert w.point.tobytes() == np.asarray(ref.point).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_table_instances())
+def test_classify_matches_reference_on_tables(inst):
+    _assert_matches_reference(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_lattice_instances())
+def test_classify_matches_reference_on_lattices(inst):
+    _assert_matches_reference(inst)
+
+
+def test_near_tie_plain_dominance_implies_hull_dominance():
+    # the plain test accepts the eq_tol slack where the exact hull path does not
+    inst = Instance(
+        n=2,
+        scenarios=ScenarioSet(ids=("1",)),
+        objectives=TableObjectives({"A": {"1": [0.0, 0.0]}, "B": {"1": [-0.5e-9, 1.5e-9]}}),
+        candidates=ExplicitCandidates(("A", "B")),
+    )
+    res = classify(inst).result_for("B")
+    assert not res.robust_efficient and not res.convex_hull_efficient
+    w = res.dominators["convex_hull"].witnesses["1"]
+    assert res.dominators["convex_hull"].candidate == "A"
+    assert (w.kind, w.anchor_id, w.weights) == ("point", "1", {"1": 1.0})

@@ -97,6 +97,16 @@ class TestHullDominance:
                 assert w.verify(y, EQ_TOL, STRICT_TOL)
 
 
+def test_hull_falls_back_to_tolerant_point_test():
+    # the exact hull path rejects y, the plain test accepts it within eq_tol
+    y, anchors = [0.0, 0.0], [[-0.5e-9, 1.5e-9]]
+    plain = dominated_by_point_set(y, anchors, ["a"])
+    w = dominated_by_hull(y, anchors, ["a"])
+    assert plain is not None and w is not None
+    assert (w.kind, w.anchor_id, w.weights, w.gap) == ("point", "a", {"a": 1.0}, plain.gap)
+    assert w.verify(y)
+
+
 class TestImageDominance:
     def test_problem1_hull_domination(self, problem1):
         a, b = problem1.image(1), problem1.image(0)
