@@ -32,7 +32,6 @@ from .core import (
     candidate_label,
     instance_to_dict,
     instance_from_dict,
-    objective_scale,
     with_step,
 )
 from .efficiency import EfficiencyReport, classify
@@ -143,48 +142,50 @@ def _csv_text(rows) -> str:
 # argument parsing helpers
 
 def _load_instance(args) -> tuple:
-    """Resolve the instance source; returns (instance, source label)."""
+    """Resolve the instance source and apply --step; returns (instance, source label)."""
     sources = [s for s in (args.instance, args.builtin, args.phantom) if s is not None]
     if len(sources) != 1:
         raise CliError(EXIT_INPUT, "exactly one of an instance file, --builtin, or --phantom is required")
 
     if args.builtin is not None:
         try:
-            return builtin_instance(args.builtin, step=args.step), f"builtin:{args.builtin}"
+            inst, source = builtin_instance(args.builtin), f"builtin:{args.builtin}"
         except KeyError as exc:
             raise CliError(EXIT_INPUT, str(exc.args[0])) from None
-
-    if args.phantom is not None:
+    elif args.phantom is not None:
         if args.phantom != "default":
             raise CliError(EXIT_INPUT, f"unknown phantom configuration {args.phantom!r}; only 'default' is defined")
-        return generate_phantom(PhantomConfig()), "phantom:default"
+        inst, source = generate_phantom(PhantomConfig()), "phantom:default"
+    else:
+        path = args.instance
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read instance file {path!r}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise CliError(EXIT_INPUT, f"instance file {path!r} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise CliError(EXIT_INPUT, f"instance file {path!r} must hold a JSON object")
 
-    path = args.instance
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read instance file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"instance file {path!r} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise CliError(EXIT_INPUT, f"instance file {path!r} must hold a JSON object")
+        # degenerate models get their own exit code before full validation
+        cands = data.get("candidates")
+        if isinstance(cands, dict) and cands.get("explicit") == []:
+            raise CliError(EXIT_DEGENERATE, f"instance file {path!r} has no candidates")
+        scen = data.get("scenarios")
+        if scen == [] or (isinstance(scen, dict) and scen.get("ids") == []):
+            raise CliError(EXIT_DEGENERATE, f"instance file {path!r} has no scenarios")
 
-    # degenerate models get their own exit code before full validation
-    cands = data.get("candidates")
-    if isinstance(cands, dict) and cands.get("explicit") == []:
-        raise CliError(EXIT_DEGENERATE, f"instance file {path!r} has no candidates")
-    scen = data.get("scenarios")
-    if scen == [] or (isinstance(scen, dict) and scen.get("ids") == []):
-        raise CliError(EXIT_DEGENERATE, f"instance file {path!r} has no scenarios")
-
-    try:
-        inst = instance_from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INPUT, f"instance file {path!r}: {exc}") from None
+        try:
+            inst, source = instance_from_dict(data), path
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(EXIT_INPUT, f"instance file {path!r}: {exc}") from None
     if args.step is not None:
-        inst = with_step(inst, args.step)
-    return inst, path
+        try:
+            inst = with_step(inst, args.step)
+        except ValueError as exc:
+            raise CliError(EXIT_INPUT, f"--step {args.step} on {source}: {exc}") from None
+    return inst, source
 
 
 def _parse_candidate(text: str, instance: Instance):
@@ -449,7 +450,7 @@ def _ptag(p: float) -> str:
     return "inf" if math.isinf(p) else _fmt(p)
 
 
-def _sweep_files(entry: StudyEntry, instance: Instance, out: str, scaled: bool) -> list:
+def _sweep_files(entry: StudyEntry, out: str, scaled: bool) -> list:
     sids = entry.image.scenario_ids
     values = entry.scaled if scaled else entry.image.values
     tag = _ptag(entry.p)
@@ -465,7 +466,7 @@ def _sweep_files(entry: StudyEntry, instance: Instance, out: str, scaled: bool) 
     if values.shape[1] == 2:
         # the study scalarizer divides by the global scale, so in scaled
         # coordinates its level sets are plain p-balls
-        u_fig = WeightedPNorm(np.ones(2), entry.p, n=2) if scaled else _study_norm(instance, entry.p)
+        u_fig = WeightedPNorm(np.ones(2), entry.p, n=2) if scaled else entry.scalarizer
         curve = _level_curve(u_fig, entry.result.value)
         title = f"optimal image under the p={tag} worst-case norm"
         sub = (f"best {candidate_label(entry.result.best)}, value {_fmt(entry.result.value)}, "
@@ -474,12 +475,6 @@ def _sweep_files(entry: StudyEntry, instance: Instance, out: str, scaled: bool) 
         _atomic_write(svg_path, svg_scatter(values, sids, title, sub, curve=curve, axis_names=axes))
         return [csv_path, svg_path]
     return [csv_path]
-
-
-def _study_norm(instance: Instance, p: float) -> WeightedPNorm:
-    scale = objective_scale(instance)
-    w = 1.0 / scale if math.isinf(p) else scale ** (-float(p))
-    return WeightedPNorm(w=w, p=p, n=instance.n)
 
 
 def cmd_sweep(args) -> int:
@@ -498,7 +493,7 @@ def cmd_sweep(args) -> int:
     if out is not None:
         outputs = []
         for e in entries:
-            outputs += _sweep_files(e, instance, out, args.scaled)
+            outputs += _sweep_files(e, out, args.scaled)
         manifest = RunManifest(
             command="sweep", source=source,
             scalarizers=[f"pnorm:p={_ptag(e.p)},scaled=unit-box" for e in entries],

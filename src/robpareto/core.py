@@ -3,8 +3,10 @@
 An Instance bundles n objectives, a finite scenario set S, an objective map
 f(x; s), and a candidate space X.  Everything downstream (dominance tests,
 efficiency certificates, scalarized solves) consumes images f(x; S) produced
-here.  Instances are immutable after construction; arrays are marked
-read-only.
+here by _image_values, the one evaluator of the objective forms:
+Instance.image_tensor() holds all images as one read-only (N, |S|, n) array,
+and Instance.image() is a one-row call for any candidate.  Instances are
+immutable after construction; arrays are marked read-only.
 """
 from __future__ import annotations
 
@@ -373,6 +375,7 @@ class Instance:
                 raise ValueError("affine family maps require simplex candidates")
             self.objectives.validate_against(self.scenarios, self.candidates.ids)
         self._candidate_cache = None
+        self._tensor = None
 
     def candidate_list(self):
         if self._candidate_cache is None:
@@ -389,23 +392,37 @@ class Instance:
         return simplex_point(candidate, self.candidates.dim)
 
     def evaluate(self, candidate, scenario_id: str) -> np.ndarray:
-        cand = self.resolve_candidate(candidate)
-        sid = str(scenario_id)
-        self.scenarios.index(sid)  # raises on unknown id
-        return self._evaluate_resolved(cand, sid)
-
-    def _evaluate_resolved(self, cand, sid) -> np.ndarray:
-        obj = self.objectives
-        if obj.form == "table":
-            return obj.values[cand][sid]
-        if obj.form == "affine_family":
-            return obj.vertex_images[sid] @ np.asarray(cand)
-        return obj.matrices[cand] @ self.scenarios.coords[sid]
+        return self.image(candidate).values[self.scenarios.index(str(scenario_id))]
 
     def image(self, candidate) -> ObjectiveImage:
         cand = self.resolve_candidate(candidate)
-        rows = [self._evaluate_resolved(cand, sid) for sid in self.scenarios.ids]
-        return ObjectiveImage(cand, self.scenarios.ids, np.array(rows, dtype=float))
+        values = _image_values(self.objectives, self.scenarios, [cand])[0]
+        return ObjectiveImage(cand, self.scenarios.ids, values)
+
+    def image_tensor(self) -> np.ndarray:
+        """All images as one read-only (N, |S|, n) array in candidate_list() order, built once."""
+        if self._tensor is None:
+            self._tensor = _image_values(self.objectives, self.scenarios, self.candidate_list())
+            self._tensor.flags.writeable = False
+        return self._tensor
+
+
+def _image_values(objectives: ObjectiveMap, scenarios: ScenarioSet, cands) -> np.ndarray:
+    """f(x; s) for every x in cands and s in scenario order, shape (len(cands), |S|, n).
+
+    The batched mat-vec matmul(M, v[..., None]) computes each f(x; s) exactly
+    as M @ v does; einsum and a 3-d matrix product sum in another order.
+    """
+    sids = scenarios.ids
+    if objectives.form == "table":
+        return np.array([[objectives.values[c][s] for s in sids] for c in cands], dtype=float)
+    if objectives.form == "affine_family":
+        mats = np.stack([objectives.vertex_images[s] for s in sids])[None]  # (1, S, n, k)
+        vecs = np.asarray(cands, dtype=float)[:, None, :]  # (N, 1, k)
+    else:
+        mats = np.stack([objectives.matrices[c] for c in cands])[:, None]  # (N, 1, n, d)
+        vecs = np.stack([scenarios.coords[s] for s in sids])[None]  # (1, S, d)
+    return np.matmul(mats, vecs[..., None])[..., 0]
 
 
 def evaluate(instance: Instance, candidate, scenario_id: str) -> np.ndarray:
@@ -424,17 +441,7 @@ def objective_scale(instance: Instance) -> np.ndarray:
     Dividing by this maps all attainable images into the unit box (zero
     columns scale by 1 so the division is always defined).
     """
-    obj = instance.objectives
-    if obj.form == "table":
-        sids = instance.scenarios.ids
-        vals = np.array(
-            [[obj.values[cid][sid] for sid in sids] for cid in instance.candidate_list()]
-        )
-        scale = np.abs(vals).max(axis=(0, 1))
-    else:
-        scale = np.zeros(instance.n)
-        for cand in instance.candidate_list():
-            scale = np.maximum(scale, np.abs(instance.image(cand).values).max(axis=0))
+    scale = np.abs(instance.image_tensor()).max(axis=(0, 1))
     return np.where(scale > 0, scale, 1.0)
 
 
@@ -488,9 +495,9 @@ def builtin_instance(name: str, step: Optional[float] = None) -> Instance:
 
 
 def with_step(instance: Instance, step: float) -> Instance:
-    """Same instance with the simplex sweep step replaced."""
-    if not isinstance(instance.candidates, SimplexCandidates):
-        return instance
+    """Same instance with the simplex lattice step replaced (ValueError without a lattice)."""
+    if not isinstance(instance.candidates, SimplexCandidates) or instance.candidates.points is not None:
+        raise ValueError("the instance has no simplex lattice to re-step")
     return Instance(
         n=instance.n,
         scenarios=instance.scenarios,

@@ -27,6 +27,7 @@ from .core import (
     ScenarioSet,
     SimplexCandidates,
     TableObjectives,
+    _image_values,
 )
 from .efficiency import classify
 
@@ -76,23 +77,7 @@ class ExpectationConstraint:
 
     def evaluate(self, scenarios: ScenarioSet, candidate) -> np.ndarray:
         """Constraint rows per scenario, shape (|S|, m_c), scenario order."""
-        rows = []
-        for sid in scenarios.ids:
-            if self.map.form == "table":
-                rows.append(self.map.values[candidate][sid])
-            elif self.map.form == "affine_family":
-                rows.append(self.map.vertex_images[sid] @ np.asarray(candidate))
-            else:
-                rows.append(self.map.matrices[candidate] @ scenarios.coords[sid])
-        return np.array(rows, dtype=float)
-
-
-def _mix_table(obj: TableObjectives, cand_ids, sids, gids, dists) -> TableObjectives:
-    values = {}
-    for cid in cand_ids:
-        stacked = np.array([obj.values[cid][sid] for sid in sids])
-        values[cid] = {gid: pi @ stacked for gid, pi in zip(gids, dists)}
-    return TableObjectives(values)
+        return _image_values(self.map, scenarios, [candidate])[0]
 
 
 def to_robust(instance: Instance, ambiguity: AmbiguitySet,
@@ -111,13 +96,12 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
     dists = ambiguity.distributions
 
     candidates = instance.candidates
+    cands = instance.candidate_list()
+    feasible = np.ones(len(cands), dtype=bool)
     if constraint is not None:
-        kept = []
-        for cand in instance.candidate_list():
-            rows = constraint.evaluate(instance.scenarios, cand)
-            ok = all(np.all(pi @ rows <= feas_tol) for pi in dists)
-            if ok:
-                kept.append(cand)
+        rows = _image_values(constraint.map, instance.scenarios, cands)
+        feasible = np.array([all(np.all(pi @ r <= feas_tol) for pi in dists) for r in rows])
+        kept = [c for c, ok in zip(cands, feasible) if ok]
         if not kept:
             raise EmptyFeasibleSetError("every candidate violates an expectation constraint")
         if isinstance(candidates, ExplicitCandidates):
@@ -142,7 +126,9 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
         scenarios = ScenarioSet(ids=gids, coords=coords)
     else:
         # table maps always ride on explicit candidate ids
-        objectives = _mix_table(obj, candidates.ids, sids, gids, dists)
+        images = instance.image_tensor()[feasible]
+        objectives = TableObjectives({cid: {gid: pi @ vals for gid, pi in zip(gids, dists)}
+                                      for cid, vals in zip(candidates.ids, images)})
         scenarios = ScenarioSet(ids=gids)
 
     name = f"{instance.name}+dro" if instance.name else None

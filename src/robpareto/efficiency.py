@@ -97,13 +97,20 @@ class EfficiencyReport:
 
 
 def pareto_filter_max(img: ObjectiveImage, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> ObjectiveImage:
-    """Drop points dominated in the maximization sense (another point >= with a gap)."""
+    """Drop points dominated in the maximization sense (another point >= with a gap).
+
+    Near-ties can put every point below another ([1.000000001, 1] and
+    [1, 1.000000001] each clear the other by a rounded 1.00000008e-9 >
+    strict_tol); no point is then safely dominated and the image stays whole.
+    """
     vals = img.values
     # above[i, k]: point k sits above point i
     above = (vals[None, :, :] >= vals[:, None, :] - eq_tol).all(axis=2) & (
         (vals[None, :, :] - vals[:, None, :]).max(axis=2) > strict_tol
     )
     keep = np.flatnonzero(~above.any(axis=1))
+    if keep.size == 0:
+        keep = np.arange(len(vals))
     ids = tuple(img.scenario_ids[i] for i in keep)
     return ObjectiveImage(img.candidate, ids, vals[keep])
 
@@ -216,14 +223,14 @@ def _gapped_below(corner, v, strict_tol: float):
 def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
     """Label every candidate, with re-verifiable dominator certificates."""
     cands = instance.candidate_list()
-    images = [instance.image(c) for c in cands]
+    vals = instance.image_tensor()
+    images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, vals)]
     order = _search_order(cands)
     base_mode = "hull" if instance.scenario_hull else "plain"
 
     scan = _BlockScan(images, order, eq_tol, strict_tol)
     set_scan = _BlockScan([pareto_filter_max(img, eq_tol, strict_tol) for img in images],
                             order, eq_tol, strict_tol)
-    vals = np.stack([img.values for img in images])
 
     results = []
     for (js, box, alive), (_, _, set_alive) in zip(scan.blocks(), set_scan.blocks()):
@@ -263,7 +270,8 @@ def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
     cands = instance.candidate_list()
     order = _search_order(cands)
     mode = "hull" if instance.scenario_hull else "plain"
-    filtered = [pareto_filter_max(instance.image(c), eq_tol, strict_tol) for c in cands]
+    filtered = [pareto_filter_max(ObjectiveImage(c, instance.scenarios.ids, v), eq_tol, strict_tol)
+                for c, v in zip(cands, instance.image_tensor())]
     scan = _BlockScan(filtered, order, eq_tol, strict_tol)
     return [cands[j] for js, _, alive in scan.blocks() for b, j in enumerate(js)
             if scan.first_dominator(j, alive[b], mode) is None]

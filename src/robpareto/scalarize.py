@@ -196,9 +196,14 @@ class WorstCase(NamedTuple):
 
 def worst_case(u: Scalarizer, img: ObjectiveImage) -> WorstCase:
     """max over scenarios of u(f(x; s)); ties keep the first scenario in order."""
+    return _worst_case(u, img.values, img.scenario_ids)
+
+
+def _worst_case(u: Scalarizer, values: np.ndarray, scenario_ids) -> WorstCase:
+    """worst_case on the rows of one image, without an ObjectiveImage."""
     best_val = -math.inf
     best_sid = None
-    for sid, y in img.points():
+    for sid, y in zip(scenario_ids, values):
         v = u.value(y)
         if v > best_val:
             best_val, best_sid = v, sid

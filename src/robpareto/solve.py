@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, objective_scale
-from .scalarize import Scalarizer, WeightedPNorm, epigraph_form, worst_case
+from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, _image_values, objective_scale
+from .scalarize import Scalarizer, WeightedPNorm, _worst_case, epigraph_form
 from .linprog import lp_solve
 
 REFINE_MAX_DIM = 8
@@ -40,35 +40,26 @@ def _sort_key(candidate):
 
 
 class _Tracker:
+    """Lowest worst case seen so far; ties go to the smallest candidate."""
+
     def __init__(self, instance: Instance, u: Scalarizer):
-        self.instance = instance
+        self.scenario_ids = instance.scenarios.ids
         self.u = u
         self.evaluations = 0
-        self.best = None
-        self.best_value = None
-        self.best_scenario = None
+        self.best = None  # (value, sort key, candidate, worst scenario)
 
-    def consider(self, candidate) -> float:
-        wc = worst_case(self.u, self.instance.image(candidate))
-        self.evaluations += 1
-        if (
-            self.best is None
-            or wc.value < self.best_value
-            or (wc.value == self.best_value and _sort_key(candidate) < _sort_key(self.best))
-        ):
-            self.best = candidate
-            self.best_value = wc.value
-            self.best_scenario = wc.scenario_id
-        return wc.value
+    def consider(self, cands, images) -> None:
+        """Worst case of each candidate from its image rows, in the given order."""
+        for candidate, values in zip(cands, images):
+            value, scenario = _worst_case(self.u, values, self.scenario_ids)
+            self.evaluations += 1
+            if self.best is None or (value, _sort_key(candidate)) < self.best[:2]:
+                self.best = (value, _sort_key(candidate), candidate, scenario)
 
     def result(self, method: str) -> SolveResult:
-        return SolveResult(
-            best=self.best,
-            value=self.best_value,
-            method=method,
-            evaluations=self.evaluations,
-            worst_scenario=self.best_scenario,
-        )
+        value, _, best, scenario = self.best
+        return SolveResult(best=best, value=value, method=method,
+                           evaluations=self.evaluations, worst_scenario=scenario)
 
 
 def _refinement_offsets(dim: int):
@@ -84,8 +75,7 @@ def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2)
 
     lattice = isinstance(cands, SimplexCandidates) and cands.points is None
     if not lattice:
-        for cand in instance.candidate_list():
-            tracker.consider(cand)
+        tracker.consider(instance.candidate_list(), instance.image_tensor())
         return tracker.result("sweep")
 
     if u.linear and instance.objectives.form == "affine_family":
@@ -95,14 +85,14 @@ def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2)
             raise RuntimeError("epigraph LP ended " + res.status)
         x = np.clip(res.x[: epi.dim], 0.0, None)
         x = x / x.sum()
-        tracker.consider(tuple(float(v) for v in x))
+        x = tuple(float(v) for v in x)
+        tracker.consider([x], [instance.image(x).values])
         out = tracker.result("exact_lp")
         if abs(res.value - out.value) > 1e-7:
             raise RuntimeError("epigraph LP value disagrees with direct evaluation")
         return out
 
-    for cand in instance.candidate_list():
-        tracker.consider(cand)
+    tracker.consider(instance.candidate_list(), instance.image_tensor())
 
     # local refinement: halve the step around the incumbent, never uphill
     step = 1.0 / cands.resolution
@@ -110,15 +100,16 @@ def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2)
         offsets = list(_refinement_offsets(cands.dim))
         for _ in range(refinements):
             step /= 2.0
-            center = np.asarray(tracker.best, dtype=float)
+            center = np.asarray(tracker.best[2], dtype=float)
             local = []
             for d in offsets:
                 pt = center + step * np.asarray(d, dtype=float)
                 if pt.min() < -1e-12:
                     continue
                 local.append(tuple(float(v) for v in np.clip(pt, 0.0, None)))
-            for pt in sorted(local):
-                tracker.consider(pt)
+            if local:
+                local.sort()
+                tracker.consider(local, _image_values(instance.objectives, instance.scenarios, local))
     return tracker.result("sweep_refined")
 
 
@@ -132,6 +123,7 @@ class StudyEntry:
     """One p-norm study row: the optimum and its image in unit-box scale."""
 
     p: float
+    scalarizer: WeightedPNorm  # the scaled p-norm the optimum minimizes
     result: SolveResult
     image: ObjectiveImage
     scaled: np.ndarray  # image values divided by the per-objective global max
@@ -157,12 +149,13 @@ def p_norm_study(instance: Instance, ps=(1, 2, 10)) -> list:
         family.append(WeightedPNorm(w=w, p=p, n=instance.n))
     rows = sweep_front(instance, family)
     entries = []
-    for p, (_, res) in zip(ps, rows):
+    for p, u, (_, res) in zip(ps, family, rows):
         img = instance.image(res.best)
         scaled = img.values / scale
         entries.append(
             StudyEntry(
                 p=float(p),
+                scalarizer=u,
                 result=res,
                 image=img,
                 scaled=scaled,

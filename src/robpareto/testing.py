@@ -13,6 +13,7 @@ from .core import (
     ExplicitCandidates,
     Instance,
     LinearScenarioObjectives,
+    ObjectiveImage,
     ScenarioSet,
     TableObjectives,
 )
@@ -120,6 +121,9 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
     """
     problems = []
     report = classify(instance, eq_tol=eq_tol, strict_tol=strict_tol)
+    sids = instance.scenarios.ids
+    images = {c: ObjectiveImage(c, sids, v)
+              for c, v in zip(instance.candidate_list(), instance.image_tensor())}
     for res in report.results:
         label = str(res.candidate)
         if res.convex_hull_efficient and not res.robust_efficient:
@@ -128,7 +132,7 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
             problems.append(f"{label}: set-valued flag disagrees with robust efficiency")
         for kind, dom in res.dominators.items():
             # witnesses are keyed by the dominating image's scenario ids
-            dom_img = instance.image(dom.candidate)
+            dom_img = images[dom.candidate]
             for sid, witness in dom.witnesses.items():
                 if not witness.verify(dom_img.point(sid), eq_tol=eq_tol, strict_tol=strict_tol):
                     problems.append(f"{label}: recorded {kind} witness fails for scenario {sid}")
@@ -137,10 +141,10 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
             if not getattr(res, flag):
                 continue
             u = constructive_scalarizer(instance, res.candidate, mode=mode)
-            at_self = worst_case(u, instance.image(res.candidate)).value
+            at_self = worst_case(u, images[res.candidate]).value
             if abs(at_self) > 1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer is {at_self:.2e} at its anchor")
-            floor = min(worst_case(u, instance.image(c)).value for c in instance.candidate_list())
+            floor = min(worst_case(u, img).value for img in images.values())
             if floor < -1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer goes below zero ({floor:.2e})")
     return problems

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: brute-force enumeration, dense grids,
 and small closed-form solves.  None of it shares code with the package under
-test beyond numpy, with one exception: reference_classify builds images with
-Instance.image and solves its hull LPs with the package's LP kernel, because
-it pins the scans and witnesses built on top of them, down to the last bit.
+test beyond numpy, with one exception: reference_classify solves its hull LPs
+with the package's LP kernel, because it pins the scans and witnesses built
+on top of them, down to the last bit.
 """
 import itertools
 from typing import NamedTuple
@@ -144,9 +144,30 @@ def pareto_min_filter(points, eq_tol: float = 1e-9, strict_tol: float = 1e-9):
 
 
 def pareto_max_filter(points, eq_tol: float = 1e-9, strict_tol: float = 1e-9):
-    """Indices of maximization-Pareto points (no other point >= with a gap)."""
+    """Indices of maximization-Pareto points (no other point >= with a gap).
+
+    When near-ties put every point below another, all indices are kept.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return pareto_min_filter(-pts, eq_tol, strict_tol)
+    keep = []
+    for i in range(pts.shape[0]):
+        if not any(np.all(pts[k] >= pts[i] - eq_tol) and (pts[k] - pts[i]).max() > strict_tol
+                   for k in range(pts.shape[0]) if k != i):
+            keep.append(i)
+    return keep or list(range(pts.shape[0]))
+
+
+def reference_image(objectives, scenarios, candidate) -> np.ndarray:
+    """f(x; s) for one candidate, scenario by scenario: a table lookup or one M @ v."""
+    rows = []
+    for sid in scenarios.ids:
+        if objectives.form == "table":
+            rows.append(objectives.values[candidate][sid])
+        elif objectives.form == "affine_family":
+            rows.append(objectives.vertex_images[sid] @ np.asarray(candidate, dtype=float))
+        else:
+            rows.append(objectives.matrices[candidate] @ scenarios.coords[sid])
+    return np.array(rows, dtype=float)
 
 
 def sweep_minimum(instance, u, step: float = 0.001):
@@ -279,10 +300,8 @@ def reference_classify(instance, eq_tol: float = 1e-9, strict_tol: float = 1e-9)
     is the first one in search order (simplex vertices, then enumeration).
     """
     cands = instance.candidate_list()
-    images = []
-    for c in cands:
-        img = instance.image(c)
-        images.append((img.scenario_ids, img.values))
+    images = [(instance.scenarios.ids, reference_image(instance.objectives, instance.scenarios, c))
+              for c in cands]
     filtered = []
     for sids, v in images:
         keep = pareto_max_filter(v, eq_tol, strict_tol)

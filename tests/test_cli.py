@@ -78,6 +78,19 @@ class TestClassify:
         assert row["robust_efficient"] == row["convex_hull_efficient"] == "false"
         assert "robust:A; convex_hull:A" in row["dominator"]
 
+    def test_cyclic_near_tie_image(self, capsys, tmp_path):
+        # each point sits above the other by a rounded gap just over strict_tol
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "scenarios": {"ids": ["a", "b"]},
+            "objectives": {"table": {"x": {"a": [1.000000001, 1.0], "b": [1.0, 1.000000001]}}},
+            "candidates": {"explicit": ["x"]},
+        }))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 0, err
+        assert parse_csv(out)["x"]["set_valued_minimizer"] == "true"
+
     def test_emit_writes_csv_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
         code, out, _ = run(
@@ -329,6 +342,32 @@ class TestErrorPaths:
         assert code == EXIT_INTERNAL == 5
         assert out == ""
         assert err == f"error: internal: {exc}\n"
+
+    def test_step_needs_a_simplex_lattice(self, capsys, tmp_path):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "n": 1,
+            "scenarios": {"ids": ["1"]},
+            "objectives": {"table": {"a": {"1": [1.0]}}},
+            "candidates": {"explicit": ["a"]},
+        }))
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({
+            "n": 1,
+            "scenarios": {"ids": ["1"]},
+            "objectives": {"affine_family": {"1": [[1.0, 2.0]]}},
+            "candidates": {"simplex": {"dim": 2, "points": [[0.5, 0.5]]}},
+        }))
+        for source in (["--phantom", "default"], [str(table)], [str(points)]):
+            code, out, err = run(capsys, "classify", *source, "--step", "0.5")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --step 0.5 on ") and err.count("\n") == 1
+            assert "no simplex lattice" in err
+
+    def test_step_out_of_range(self, capsys):
+        code, out, err = run(capsys, "classify", "--builtin", "problem-1", "--step", "2")
+        assert (code, out) == (2, "")
+        assert "step must lie in (0, 1]" in err and err.count("\n") == 1
 
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -1,6 +1,7 @@
 """Instance model: evaluation, candidate spaces, serialization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robpareto.core import (
     AffineFamilyObjectives,
@@ -20,6 +21,9 @@ from robpareto.core import (
     simplex_point,
     with_step,
 )
+from robpareto.distro import ExpectationConstraint
+
+from oracles import reference_image
 
 
 def test_problem1_endpoint_images(problem1):
@@ -213,3 +217,79 @@ def test_linear_in_s_evaluation():
     # f(a; s) = F_a s with s read off the scenario coords
     np.testing.assert_allclose(inst.image("a").values, [[1, 0], [0, 1]])
     np.testing.assert_allclose(inst.image("b").values, [[2, 1], [2, 3]])
+
+
+_ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _instances(draw):
+    """One instance of each objective form; linear-in-s coords up to dimension 8."""
+    form = draw(st.sampled_from(["table", "affine_family", "linear_in_s"]))
+    n = draw(st.integers(1, 4))
+    sids = tuple(f"s{k}" for k in range(draw(st.integers(1, 5))))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+    if form == "affine_family":
+        dim = draw(st.integers(2, 4))
+        return Instance(
+            n=n,
+            scenarios=ScenarioSet(ids=sids),
+            objectives=AffineFamilyObjectives({sid: matrix(n, dim) for sid in sids}),
+            candidates=SimplexCandidates(dim=dim, step=draw(st.sampled_from([0.5, 0.25, 0.2]))),
+        )
+    cids = tuple(f"c{k}" for k in range(draw(st.integers(1, 6))))
+    if form == "table":
+        scenarios = ScenarioSet(ids=sids)
+        objectives = TableObjectives({c: {sid: matrix(1, n)[0] for sid in sids} for c in cids})
+    else:
+        d = draw(st.integers(1, 8))
+        scenarios = ScenarioSet(ids=sids, coords={sid: matrix(1, d)[0] for sid in sids})
+        objectives = LinearScenarioObjectives({c: matrix(n, d) for c in cids})
+    return Instance(n=n, scenarios=scenarios, objectives=objectives, candidates=ExplicitCandidates(cids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_instances(), data=st.data())
+def test_every_image_path_matches_the_per_pair_reference(inst, data):
+    tensor = inst.image_tensor()
+    cands = inst.candidate_list()
+    assert tensor.shape == (len(cands), len(inst.scenarios), inst.n)
+    if isinstance(inst.candidates, SimplexCandidates):
+        # off-lattice simplex points go through Instance.image alone
+        weights = data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=inst.candidates.dim,
+                                              max_size=inst.candidates.dim), max_size=3))
+        extra = [inst.resolve_candidate(np.array(w) / sum(w)) for w in weights]
+    else:
+        extra = []
+    for row, cand in zip(tensor, cands):
+        assert row.tobytes() == reference_image(inst.objectives, inst.scenarios, cand).tobytes()
+    constraint = ExpectationConstraint(inst.objectives)
+    last = inst.scenarios.ids[-1]
+    for cand in cands + extra:
+        want = reference_image(inst.objectives, inst.scenarios, cand)
+        assert inst.image(cand).values.tobytes() == want.tobytes()
+        assert inst.evaluate(cand, last).tobytes() == want[-1].tobytes()
+        assert constraint.evaluate(inst.scenarios, cand).tobytes() == want.tobytes()
+    m = np.abs(tensor).max(axis=(0, 1))
+    assert objective_scale(inst).tobytes() == np.where(m > 0, m, 1.0).tobytes()
+
+
+def test_image_tensor_is_read_only_and_built_once():
+    inst = builtin_instance("problem-1", step=0.25)
+    tensor = inst.image_tensor()
+    assert not tensor.flags.writeable
+    with pytest.raises(ValueError):
+        tensor[0, 0, 0] = 1.0
+    assert inst.image_tensor() is tensor
+
+
+def test_with_step_needs_a_simplex_lattice(problem1):
+    assert len(with_step(problem1, 0.5).candidate_list()) == 3
+    points = Instance(n=2, scenarios=problem1.scenarios, objectives=problem1.objectives,
+                      candidates=SimplexCandidates(dim=2, points=((0.5, 0.5),)))
+    for inst in (_table_instance(), points):
+        with pytest.raises(ValueError, match="no simplex lattice"):
+            with_step(inst, 0.5)

@@ -16,7 +16,7 @@ from robpareto.efficiency import classify, pareto_filter_max, set_valued_minimiz
 from robpareto.linprog import SolverStalledError
 from robpareto.testing import random_hyperrectangle_values, random_instance
 
-from oracles import pareto_min_filter, reference_classify
+from oracles import pareto_max_filter, pareto_min_filter, reference_classify
 
 
 def test_problem1_all_candidates_robust(problem1):
@@ -273,12 +273,6 @@ def _assert_matches_reference(inst):
         # the LP kernel stalls on some near-tie data; classify solves a
         # subset of the reference's LPs, so it may or may not stall there
         reject()
-    except ValueError:
-        # near-ties can make every point of an image drop out of its Pareto
-        # filter; both sides then fail on the empty image alike
-        with pytest.raises(ValueError):
-            classify(inst)
-        return
     report = classify(inst)
     assert len(report.results) == len(expected)
     for res, (flags, doms) in zip(report.results, expected):
@@ -320,3 +314,53 @@ def test_near_tie_plain_dominance_implies_hull_dominance():
     w = res.dominators["convex_hull"].witnesses["1"]
     assert res.dominators["convex_hull"].candidate == "A"
     assert (w.kind, w.anchor_id, w.weights) == ("point", "1", {"1": 1.0})
+
+
+# each point clears the other by the rounded gap 1.000000001 - 1 = 1.00000008e-9
+_CYCLIC_PAIR = [[1.000000001, 1.0], [1.0, 1.000000001]]
+
+
+def test_pareto_filter_keeps_the_whole_image_when_every_point_sits_below_another():
+    for vals in (_CYCLIC_PAIR, _CYCLIC_PAIR + [[0.0, 0.0]]):
+        sids = tuple(f"s{k}" for k in range(len(vals)))
+        kept = pareto_filter_max(ObjectiveImage("x", sids, vals))
+        assert kept.scenario_ids == sids
+        assert kept.values.tobytes() == np.asarray(vals).tobytes()
+        assert pareto_max_filter(vals) == list(range(len(vals)))
+
+
+def test_pareto_filter_drops_the_cycle_below_a_survivor():
+    vals = [[2.0, 2.0]] + _CYCLIC_PAIR
+    assert pareto_filter_max(ObjectiveImage("x", ("t", "a", "b"), vals)).scenario_ids == ("t",)
+    assert pareto_max_filter(vals) == [0]
+
+
+@st.composite
+def _near_tie_points(draw):
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 5))
+    return [[draw(st.integers(0, 1)) + draw(_NEAR_TIE) for _ in range(n)] for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_near_tie_points())
+def test_pareto_filter_is_never_empty_and_matches_oracle(points):
+    sids = tuple(f"s{k}" for k in range(len(points)))
+    kept = pareto_filter_max(ObjectiveImage("x", sids, points))
+    assert len(kept) >= 1
+    assert [sids.index(s) for s in kept.scenario_ids] == pareto_max_filter(points)
+
+
+def test_cyclic_near_tie_image_classifies():
+    inst = Instance(
+        n=2,
+        scenarios=ScenarioSet(ids=("a", "b")),
+        objectives=TableObjectives({"x": dict(zip(("a", "b"), _CYCLIC_PAIR)),
+                                    "y": {"a": [2.0, 2.0], "b": [2.0, 2.0]}}),
+        candidates=ExplicitCandidates(("x", "y")),
+    )
+    report = classify(inst)
+    assert [r.flag("set_valued") for r in report.results] == [True, False]
+    assert report.result_for("y").dominators["set_valued"].candidate == "x"
+    assert set_valued_minimizers(inst) == ["x"]
+    _assert_matches_reference(inst)

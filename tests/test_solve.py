@@ -10,6 +10,7 @@ from robpareto.core import (
     SimplexCandidates,
     TableObjectives,
     candidate_label,
+    objective_scale,
 )
 from robpareto.efficiency import classify
 from robpareto.scalarize import (
@@ -137,6 +138,9 @@ def test_p_norm_study_problem1_radii(problem1):
         # scaled values live in the unit box
         assert e.scaled.max() <= 1 + 1e-12
         assert np.all(e.scaled >= -1e-12)
+        # the entry's scalarizer is the scaled p-norm its optimum minimizes
+        assert (e.scalarizer.p, e.scalarizer.w.tobytes()) == (e.p, (objective_scale(problem1) ** -e.p).tobytes())
+        assert worst_case(e.scalarizer, e.image).value == e.result.value
 
 
 def test_winners_pass_the_efficiency_gate(rng):
