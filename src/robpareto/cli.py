@@ -483,6 +483,8 @@ def cmd_sweep(args) -> int:
     if not parts:
         raise CliError(EXIT_INPUT, "--p needs a nonempty comma-separated list, e.g. --p 1,2,10")
     ps = [_parse_p(s) for s in parts]
+    if not all(p >= 1 for p in ps):
+        raise CliError(EXIT_INPUT, f"--p values must be >= 1 (or inf), got {args.p!r}")
     instance, source = _load_instance(args)
     entries = p_norm_study(instance, ps=ps)
     for e in entries:

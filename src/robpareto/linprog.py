@@ -136,7 +136,7 @@ def _run_simplex(t: np.ndarray, basis, m: int, ncols: int, allowed: int, max_ite
     raise SolverStalledError("simplex iteration cap exceeded after Bland fallback")
 
 
-def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL, max_iter: Optional[int] = None) -> LpResult:
+def lp_solve(problem: LpProblem) -> LpResult:
     """Solve with the two-phase method.  Deterministic for fixed input."""
     nvar = problem.nvar
     n_free = int(problem.free.sum())
@@ -182,8 +182,7 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL, max_iter: Optional[
         t[i, ncols + k] = 1.0
         basis[i] = ncols + k
 
-    if max_iter is None:
-        max_iter = 1000 + 50 * (m + total)
+    max_iter = 1000 + 50 * (m + total)
 
     # phase 1: minimize the artificial sum
     if n_art:
@@ -193,7 +192,7 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL, max_iter: Optional[
         status = _run_simplex(t, basis, m, total + 1, allowed=total, max_iter=max_iter)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise SolverStalledError("phase 1 ended " + status)
-        if -t[m, -1] > feas_tol:
+        if -t[m, -1] > FEAS_TOL:
             return LpResult(status="infeasible")
         # drive remaining artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
@@ -231,12 +230,12 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL, max_iter: Optional[
     if n_free:
         x[np.flatnonzero(problem.free)] -= x_ext[nvar : nvar + n_free]
 
-    _check_result(problem, x, feas_tol)
+    _check_result(problem, x)
     return LpResult(status="optimal", value=float(problem.c @ x), x=x)
 
 
-def _check_result(problem: LpProblem, x: np.ndarray, feas_tol: float) -> None:
-    slack = 1e3 * feas_tol + 1e-7  # headroom; a violation here means a solver bug
+def _check_result(problem: LpProblem, x: np.ndarray) -> None:
+    slack = 1e3 * FEAS_TOL + 1e-7  # headroom; a violation here means a solver bug
     if problem.a_ub is not None:
         if np.any(problem.a_ub @ x - problem.b_ub > slack):
             raise SolverStalledError("optimal basis violates an inequality row")

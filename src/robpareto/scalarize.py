@@ -1,6 +1,9 @@
 """Scalarizers and worst-case evaluation.
 
-Each scalarizer declares its monotonicity class and convexity instead of
+Every scalarizer has one evaluator, values(ys), mapping objective vectors
+of shape (..., n) to scalars of shape (...); value(y), worst_case, the
+sweeps in solve and the testing harness are all calls of it.  Each
+scalarizer declares its monotonicity class and convexity instead of
 inferring them: increasing (never decreases under componentwise <=),
 strictly_increasing (strict under componentwise <), strongly_increasing
 (strict whenever <= holds with at least one strict coordinate).  The p-norm
@@ -37,34 +40,35 @@ def monotone_at_least(u: "Scalarizer", level: str) -> bool:
     return _MONO_RANK[u.monotonicity] >= _MONO_RANK[level]
 
 
-def _weight_vector(w, n: int, positive: bool) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(w, dtype=float))
+def _vector(v, n: int, what: str) -> np.ndarray:
+    """A read-only finite vector of length n; a length-one v broadcasts."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
     if arr.shape[0] == 1 and n > 1:
         arr = np.full(n, float(arr[0]))
     if arr.shape[0] != n:
-        raise ValueError(f"weight vector has length {arr.shape[0]}, expected {n}")
+        raise ValueError(f"{what} has length {arr.shape[0]}, expected {n}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{what} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+def _weight_vector(w, n: int, positive: bool) -> np.ndarray:
+    arr = _vector(w, n, "weight vector")
     if positive:
         if np.any(arr <= 0):
             raise ValueError("weights must be strictly positive")
     else:
         if np.any(arr < 0) or not np.any(arr > 0):
             raise ValueError("weights must be nonnegative and not all zero")
-    arr.flags.writeable = False
     return arr
 
 
-def _ref_vector(ref, n: int) -> np.ndarray:
-    if ref is None:
-        ref = 0.0
-    arr = np.atleast_1d(np.asarray(ref, dtype=float))
-    if arr.shape[0] == 1 and n > 1:
-        arr = np.full(n, float(arr[0]))
-    if arr.shape[0] != n:
-        raise ValueError(f"reference point has length {arr.shape[0]}, expected {n}")
-    arr.flags.writeable = False
-    return arr
+def _weights_and_ref(w, ref, n: Optional[int]) -> tuple:
+    """Positive weights, a reference point (default 0) and n, by default the longer length."""
+    if n is None:
+        n = max(np.atleast_1d(w).shape[0], 1 if ref is None else np.atleast_1d(ref).shape[0])
+    return _weight_vector(w, n, positive=True), _vector(0.0 if ref is None else ref, n, "reference point"), n
 
 
 def _fmt_num(v: float) -> str:
@@ -76,23 +80,30 @@ def _fmt_vec(arr) -> str:
 
 
 class Scalarizer:
-    """Base: a real-valued function of one objective vector with declared structure."""
+    """Base: a real-valued function of objective vectors with declared structure."""
 
     monotonicity: str = INCREASING
     convex: bool = False
     linear: bool = False
     n: int
 
-    def value(self, y) -> float:
+    def values(self, ys) -> np.ndarray:
+        """u of each objective vector along the last axis: shape (..., n) -> (...)."""
         raise NotImplementedError
+
+    def value(self, y) -> float:
+        arr = np.asarray(y, dtype=float)
+        if arr.shape != (self.n,):
+            raise ValueError(f"expected an objective vector of length {self.n}, got shape {arr.shape}")
+        return float(self.values(arr))
 
     def __call__(self, y) -> float:
         return self.value(y)
 
-    def _coerce(self, y) -> np.ndarray:
-        arr = np.asarray(y, dtype=float)
-        if arr.shape != (self.n,):
-            raise ValueError(f"expected an objective vector of length {self.n}, got shape {arr.shape}")
+    def _rows(self, ys) -> np.ndarray:
+        arr = np.asarray(ys, dtype=float)
+        if arr.ndim == 0 or arr.shape[-1] != self.n:
+            raise ValueError(f"expected objective vectors of length {self.n}, got shape {arr.shape}")
         return arr
 
 
@@ -108,8 +119,9 @@ class WeightedSum(Scalarizer):
         self.monotonicity = STRONGLY_INCREASING if np.all(self.w > 0) else STRICTLY_INCREASING
         self.name = f"wsum:w={_fmt_vec(self.w)}"
 
-    def value(self, y) -> float:
-        return float(self.w @ self._coerce(y))
+    def values(self, ys) -> np.ndarray:
+        # 1-by-n products equal w @ y bit for bit; ys @ w and (ys * w).sum(-1) do not
+        return np.matmul(self._rows(ys)[..., None, :], self.w)[..., 0]
 
 
 class WeightedPNorm(Scalarizer):
@@ -122,23 +134,21 @@ class WeightedPNorm(Scalarizer):
     convex = True
 
     def __init__(self, w, p: float, ref=None, n: Optional[int] = None):
-        if n is None:
-            n = max(np.atleast_1d(w).shape[0], np.atleast_1d(ref).shape[0] if ref is not None else 1)
         if not (p >= 1):
             raise ValueError(f"p must be >= 1 (or inf), got {p}")
         self.p = float(p)
-        self.w = _weight_vector(w, n, positive=True)
-        self.ref = _ref_vector(ref, n)
-        self.n = n
+        self.w, self.ref, self.n = _weights_and_ref(w, ref, n)
         self.monotonicity = STRICTLY_INCREASING if math.isinf(self.p) else STRONGLY_INCREASING
         ptxt = "inf" if math.isinf(self.p) else _fmt_num(self.p)
         self.name = f"pnorm:p={ptxt},w={_fmt_vec(self.w)},ref={_fmt_vec(self.ref)}"
 
-    def value(self, y) -> float:
-        dev = np.abs(self._coerce(y) - self.ref)
+    def values(self, ys) -> np.ndarray:
+        dev = np.abs(self._rows(ys) - self.ref)
         if math.isinf(self.p):
-            return float((self.w * dev).max())
-        return float(((self.w * dev**self.p).sum() / self.n) ** (1.0 / self.p))
+            return (self.w * dev).max(axis=-1)
+        total = (self.w * dev**self.p).sum(axis=-1) / self.n
+        # the scalar power per element: numpy's array power can differ in the last bit
+        return np.asarray(np.asarray(total, dtype=object) ** (1.0 / self.p), dtype=float)
 
 
 class Chebyshev(Scalarizer):
@@ -147,16 +157,12 @@ class Chebyshev(Scalarizer):
     convex = True
 
     def __init__(self, w, ref=None, n: Optional[int] = None):
-        if n is None:
-            n = np.atleast_1d(w).shape[0]
-        self.w = _weight_vector(w, n, positive=True)
-        self.ref = _ref_vector(ref, n)
-        self.n = n
+        self.w, self.ref, self.n = _weights_and_ref(w, ref, n)
         self.monotonicity = STRICTLY_INCREASING
         self.name = f"chebyshev:w={_fmt_vec(self.w)},ref={_fmt_vec(self.ref)}"
 
-    def value(self, y) -> float:
-        return float((self.w * (self._coerce(y) - self.ref)).max())
+    def values(self, ys) -> np.ndarray:
+        return (self.w * (self._rows(ys) - self.ref)).max(axis=-1)
 
 
 class SignedDistanceScalarizer(Scalarizer):
@@ -180,8 +186,10 @@ class SignedDistanceScalarizer(Scalarizer):
         anchor_txt = source if source is not None else "custom"
         self.name = f"construct:anchor={anchor_txt},mode={mode}"
 
-    def value(self, y) -> float:
-        return geometry.signed_distance(self._coerce(y), self.anchors, self.mode)
+    def values(self, ys) -> np.ndarray:
+        ys = self._rows(ys)
+        dist = [geometry.signed_distance(y, self.anchors, self.mode) for y in ys.reshape(-1, self.n)]
+        return np.array(dist, dtype=float).reshape(ys.shape[:-1])
 
 
 def apply(u: Scalarizer, y) -> float:
@@ -196,18 +204,9 @@ class WorstCase(NamedTuple):
 
 def worst_case(u: Scalarizer, img: ObjectiveImage) -> WorstCase:
     """max over scenarios of u(f(x; s)); ties keep the first scenario in order."""
-    return _worst_case(u, img.values, img.scenario_ids)
-
-
-def _worst_case(u: Scalarizer, values: np.ndarray, scenario_ids) -> WorstCase:
-    """worst_case on the rows of one image, without an ObjectiveImage."""
-    best_val = -math.inf
-    best_sid = None
-    for sid, y in zip(scenario_ids, values):
-        v = u.value(y)
-        if v > best_val:
-            best_val, best_sid = v, sid
-    return WorstCase(best_val, best_sid)
+    vals = u.values(img.values)
+    worst = int(np.argmax(vals))
+    return WorstCase(float(vals[worst]), img.scenario_ids[worst])
 
 
 @dataclass(eq=False)
@@ -242,11 +241,11 @@ def epigraph_form(instance: Instance, u: Scalarizer, candidate=None):
     """
     if candidate is not None:
         img = instance.image(candidate)
-        rows = [(sid, u.value(y)) for sid, y in img.points()]
+        vals = u.values(img.values)
         return EpigraphEvaluation(
             candidate=img.candidate,
-            per_scenario=rows,
-            min_lambda=max(v for _, v in rows),
+            per_scenario=list(zip(img.scenario_ids, vals.tolist())),
+            min_lambda=float(vals.max()),
         )
     if not u.linear:
         raise ValueError("joint epigraph LP needs a linear scalarizer; pass a candidate instead")

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, _image_values, objective_scale
-from .scalarize import Scalarizer, WeightedPNorm, _worst_case, epigraph_form
+from .scalarize import Scalarizer, WeightedPNorm, epigraph_form
 from .linprog import lp_solve
 
 REFINE_MAX_DIM = 8
@@ -39,27 +39,15 @@ def _sort_key(candidate):
     return candidate if isinstance(candidate, str) else tuple(candidate)
 
 
-class _Tracker:
-    """Lowest worst case seen so far; ties go to the smallest candidate."""
+def _lowest(u: Scalarizer, scenario_ids, cands, images) -> tuple:
+    """(worst case, sort key, candidate, worst scenario) of a batch's best candidate.
 
-    def __init__(self, instance: Instance, u: Scalarizer):
-        self.scenario_ids = instance.scenarios.ids
-        self.u = u
-        self.evaluations = 0
-        self.best = None  # (value, sort key, candidate, worst scenario)
-
-    def consider(self, cands, images) -> None:
-        """Worst case of each candidate from its image rows, in the given order."""
-        for candidate, values in zip(cands, images):
-            value, scenario = _worst_case(self.u, values, self.scenario_ids)
-            self.evaluations += 1
-            if self.best is None or (value, _sort_key(candidate)) < self.best[:2]:
-                self.best = (value, _sort_key(candidate), candidate, scenario)
-
-    def result(self, method: str) -> SolveResult:
-        value, _, best, scenario = self.best
-        return SolveResult(best=best, value=value, method=method,
-                           evaluations=self.evaluations, worst_scenario=scenario)
+    The lowest worst case wins; ties go to the smallest candidate.
+    """
+    vals = u.values(images)
+    worst = vals.max(axis=-1)
+    best = min(np.flatnonzero(worst == worst.min()), key=lambda i: _sort_key(cands[i]))
+    return float(worst[best]), _sort_key(cands[best]), cands[best], scenario_ids[int(np.argmax(vals[best]))]
 
 
 def _refinement_offsets(dim: int):
@@ -70,15 +58,10 @@ def _refinement_offsets(dim: int):
 
 def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2) -> SolveResult:
     """Minimize x -> max_s u(f(x; s)) over the instance's candidate space."""
-    tracker = _Tracker(instance, u)
     cands = instance.candidates
-
+    sids = instance.scenarios.ids
     lattice = isinstance(cands, SimplexCandidates) and cands.points is None
-    if not lattice:
-        tracker.consider(instance.candidate_list(), instance.image_tensor())
-        return tracker.result("sweep")
-
-    if u.linear and instance.objectives.form == "affine_family":
+    if lattice and u.linear and instance.objectives.form == "affine_family":
         epi = epigraph_form(instance, u)
         res = lp_solve(epi.problem)
         if res.status != "optimal":  # pragma: no cover - simplex feasible, objective bounded
@@ -86,21 +69,21 @@ def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2)
         x = np.clip(res.x[: epi.dim], 0.0, None)
         x = x / x.sum()
         x = tuple(float(v) for v in x)
-        tracker.consider([x], [instance.image(x).values])
-        out = tracker.result("exact_lp")
-        if abs(res.value - out.value) > 1e-7:
+        value, _, _, scenario = _lowest(u, sids, [x], instance.image(x).values[None])
+        if abs(res.value - value) > 1e-7:
             raise RuntimeError("epigraph LP value disagrees with direct evaluation")
-        return out
+        return SolveResult(x, value, "exact_lp", 1, scenario)
 
-    tracker.consider(instance.candidate_list(), instance.image_tensor())
-
+    points = instance.candidate_list()
+    best = _lowest(u, sids, points, instance.image_tensor())
+    evaluations = len(points)
     # local refinement: halve the step around the incumbent, never uphill
-    step = 1.0 / cands.resolution
-    if cands.dim <= REFINE_MAX_DIM:
+    if lattice and cands.dim <= REFINE_MAX_DIM:
+        step = 1.0 / cands.resolution
         offsets = list(_refinement_offsets(cands.dim))
         for _ in range(refinements):
             step /= 2.0
-            center = np.asarray(tracker.best[2], dtype=float)
+            center = np.asarray(best[2], dtype=float)
             local = []
             for d in offsets:
                 pt = center + step * np.asarray(d, dtype=float)
@@ -109,8 +92,11 @@ def minimize_scalarized(instance: Instance, u: Scalarizer, refinements: int = 2)
                 local.append(tuple(float(v) for v in np.clip(pt, 0.0, None)))
             if local:
                 local.sort()
-                tracker.consider(local, _image_values(instance.objectives, instance.scenarios, local))
-    return tracker.result("sweep_refined")
+                batch = _lowest(u, sids, local, _image_values(instance.objectives, instance.scenarios, local))
+                best = min(best, batch, key=lambda b: b[:2])
+                evaluations += len(local)
+    value, _, candidate, scenario = best
+    return SolveResult(candidate, value, "sweep_refined" if lattice else "sweep", evaluations, scenario)
 
 
 def sweep_front(instance: Instance, scalarizers) -> list:

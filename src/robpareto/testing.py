@@ -122,8 +122,9 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
     problems = []
     report = classify(instance, eq_tol=eq_tol, strict_tol=strict_tol)
     sids = instance.scenarios.ids
-    images = {c: ObjectiveImage(c, sids, v)
-              for c, v in zip(instance.candidate_list(), instance.image_tensor())}
+    tensor = instance.image_tensor()
+    images = {c: ObjectiveImage(c, sids, v) for c, v in zip(instance.candidate_list(), tensor)}
+    position = {c: i for i, c in enumerate(images)}
     for res in report.results:
         label = str(res.candidate)
         if res.convex_hull_efficient and not res.robust_efficient:
@@ -144,7 +145,8 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
             at_self = worst_case(u, images[res.candidate]).value
             if abs(at_self) > 1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer is {at_self:.2e} at its anchor")
-            floor = min(worst_case(u, img).value for img in images.values())
+            others = np.delete(tensor, position[res.candidate], axis=0)
+            floor = float(u.values(others).max(axis=-1).min(initial=at_self))
             if floor < -1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer goes below zero ({floor:.2e})")
     return problems

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: brute-force enumeration, dense grids,
 and small closed-form solves.  None of it shares code with the package under
-test beyond numpy, with one exception: reference_classify solves its hull LPs
-with the package's LP kernel, because it pins the scans and witnesses built
-on top of them, down to the last bit.
+test beyond numpy, with two exceptions: reference_classify solves its hull
+LPs with the package's LP kernel, because it pins the scans and witnesses
+built on top of them, down to the last bit; and reference_value evaluates the
+constructive scalarizer through geometry.signed_distance, the one home of its
+closed form and LP.
 """
 import itertools
 from typing import NamedTuple
@@ -170,6 +172,40 @@ def reference_image(objectives, scenarios, candidate) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def reference_value(u, y) -> float:
+    """u(y) for one objective vector, by the one-point formulas.
+
+    Weighted sum: the dot product w @ y.  p-norm: the sum of w_i |y_i - z_i|^p
+    over n, then the scalar root np.float64(s) ** (1/p); the weighted max at
+    p = inf.  Chebyshev: the max of w_i (y_i - z_i).  Constructive: the
+    signed distance to the anchors.
+    """
+    y = np.asarray(y, dtype=float)
+    kind = type(u).__name__
+    if kind == "WeightedSum":
+        return float(u.w @ y)
+    if kind == "WeightedPNorm":
+        dev = np.abs(y - u.ref)
+        if np.isinf(u.p):
+            return float((u.w * dev).max())
+        return float(np.float64((u.w * dev**u.p).sum() / u.n) ** (1.0 / u.p))
+    if kind == "Chebyshev":
+        return float((u.w * (y - u.ref)).max())
+    from robpareto.geometry import signed_distance
+
+    return signed_distance(y, u.anchors, u.mode)
+
+
+def reference_worst_case(u, scenario_ids, values):
+    """(max over scenarios of u, its scenario): a strict > scan, so ties keep the first."""
+    best_val, best_sid = -np.inf, None
+    for sid, y in zip(scenario_ids, values):
+        v = reference_value(u, y)
+        if v > best_val:
+            best_val, best_sid = v, sid
+    return best_val, best_sid
+
+
 def sweep_minimum(instance, u, step: float = 0.001):
     """Worst-case minimum of u over a dense simplex lattice (dim 2 or 3)."""
     dim = instance.candidates.dim
@@ -186,7 +222,7 @@ def sweep_minimum(instance, u, step: float = 0.001):
         ]
     for x in points:
         img = instance.image(x)
-        val = max(u.value(yv) for yv in img.values)
+        val = max(reference_value(u, yv) for yv in img.values)
         if best is None or val < best:
             best, best_x = val, x
     return best, best_x

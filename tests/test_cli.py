@@ -315,6 +315,18 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    def test_sweep_p_below_one_or_nan_rejected(self, capsys):
+        for p in ("0.5", "nan", "1,0.9"):
+            code, out, err = run(capsys, "sweep", "--builtin", "problem-1", "--p", p)
+            assert (code, out) == (2, "")
+            assert err == f"error: --p values must be >= 1 (or inf), got {p!r}\n"
+
+    def test_non_finite_reference_rejected(self, capsys):
+        for spec in ("pnorm:p=2,ref=nan", "pnorm:p=2,ref=inf", "chebyshev:w=1,ref=nan"):
+            code, out, err = run(capsys, "scalarize", "--builtin", "problem-1", "--u", spec)
+            assert (code, out) == (2, "")
+            assert err == f"error: invalid scalarizer {spec!r}: reference point must be finite\n"
+
     def test_empty_p_list(self, capsys):
         code, _, err = run(capsys, "sweep", "--builtin", "problem-1", "--p", "")
         assert code == 2

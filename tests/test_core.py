@@ -24,6 +24,7 @@ from robpareto.core import (
 from robpareto.distro import ExpectationConstraint
 
 from oracles import reference_image
+from strategies import instances
 
 
 def test_problem1_endpoint_images(problem1):
@@ -219,40 +220,8 @@ def test_linear_in_s_evaluation():
     np.testing.assert_allclose(inst.image("b").values, [[2, 1], [2, 3]])
 
 
-_ENTRY = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _instances(draw):
-    """One instance of each objective form; linear-in-s coords up to dimension 8."""
-    form = draw(st.sampled_from(["table", "affine_family", "linear_in_s"]))
-    n = draw(st.integers(1, 4))
-    sids = tuple(f"s{k}" for k in range(draw(st.integers(1, 5))))
-
-    def matrix(rows, cols):
-        return np.array(draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
-
-    if form == "affine_family":
-        dim = draw(st.integers(2, 4))
-        return Instance(
-            n=n,
-            scenarios=ScenarioSet(ids=sids),
-            objectives=AffineFamilyObjectives({sid: matrix(n, dim) for sid in sids}),
-            candidates=SimplexCandidates(dim=dim, step=draw(st.sampled_from([0.5, 0.25, 0.2]))),
-        )
-    cids = tuple(f"c{k}" for k in range(draw(st.integers(1, 6))))
-    if form == "table":
-        scenarios = ScenarioSet(ids=sids)
-        objectives = TableObjectives({c: {sid: matrix(1, n)[0] for sid in sids} for c in cids})
-    else:
-        d = draw(st.integers(1, 8))
-        scenarios = ScenarioSet(ids=sids, coords={sid: matrix(1, d)[0] for sid in sids})
-        objectives = LinearScenarioObjectives({c: matrix(n, d) for c in cids})
-    return Instance(n=n, scenarios=scenarios, objectives=objectives, candidates=ExplicitCandidates(cids))
-
-
 @settings(max_examples=150, deadline=None)
-@given(inst=_instances(), data=st.data())
+@given(inst=instances(), data=st.data())
 def test_every_image_path_matches_the_per_pair_reference(inst, data):
     tensor = inst.image_tensor()
     cands = inst.candidate_list()

@@ -1,16 +1,22 @@
 """Scalarizer catalog, worst-case evaluation, and the two LP reformulations."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from robpareto.core import (
     ExplicitCandidates,
     Instance,
     LinearScenarioObjectives,
+    ObjectiveImage,
     ScenarioSet,
     TableObjectives,
+    objective_scale,
 )
 from robpareto.geometry import image_dominates
 from robpareto.linprog import lp_solve
+from robpareto.phantom import PhantomConfig, generate
 from robpareto.scalarize import (
     Chebyshev,
     EpigraphEvaluation,
@@ -28,7 +34,8 @@ from robpareto.scalarize import (
 )
 from robpareto.testing import random_instance, random_linear_instance
 
-from oracles import max_linear_over_polytope, sweep_minimum
+from oracles import max_linear_over_polytope, reference_value, reference_worst_case, sweep_minimum
+from strategies import ENTRY, instances
 
 
 class TestApply:
@@ -62,6 +69,91 @@ class TestApply:
         assert apply(u, [0, 0]) < 0
 
 
+class TestReferenceChecks:
+    def test_non_finite_reference_rejected(self):
+        for ref in (np.nan, np.inf, [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="reference point must be finite"):
+                WeightedPNorm(1.0, 2.0, ref=ref, n=2)
+            with pytest.raises(ValueError, match="reference point must be finite"):
+                Chebyshev(1.0, ref=ref, n=2)
+
+    def test_chebyshev_infers_n_from_the_reference(self):
+        for u in (Chebyshev(1, ref=[0, 0]), WeightedPNorm(1, 2, ref=[0, 0])):
+            assert u.n == 2
+            assert u.w.tolist() == [1.0, 1.0]
+        assert Chebyshev([1, 2]).ref.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="reference point has length 2, expected 3"):
+            Chebyshev([1, 2, 3], ref=[0, 0])
+
+    def test_values_checks_the_last_axis(self):
+        u = WeightedSum([0.5, 0.5])
+        assert u.values(np.zeros((4, 3, 2))).shape == (4, 3)
+        assert u.values(np.zeros((0, 2))).shape == (0,)
+        for bad in (np.zeros((3, 3)), 1.0):
+            with pytest.raises(ValueError, match="length 2"):
+                u.values(bad)
+        with pytest.raises(ValueError, match="length 2"):
+            u.value(np.zeros((1, 2)))
+
+
+@st.composite
+def _scalarizers(draw, inst):
+    """A scalarizer of any class for inst, with weights and reference points drawn."""
+    n = inst.n
+    kind = draw(st.sampled_from(["wsum", "pnorm", "chebyshev", "plain", "hull"]))
+    positive = st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)
+    ref = st.one_of(st.none(), st.lists(ENTRY, min_size=n, max_size=n))
+    if kind == "wsum":
+        w = draw(st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 0.5, 1.0, 0.001, 0.7]), min_size=n, max_size=n))
+        return WeightedSum([1.0] * n if not any(w) else w)
+    if kind == "pnorm":
+        p = draw(st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 5.0, 10.0, math.inf]), st.floats(1.0, 20.0)))
+        return WeightedPNorm(draw(positive), p, ref=draw(ref), n=n)
+    if kind == "chebyshev":
+        return Chebyshev(draw(positive), ref=draw(ref), n=n)
+    anchor = draw(st.sampled_from(inst.candidate_list()))
+    return constructive_scalarizer(inst, anchor, mode=kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_values_match_the_one_point_reference(inst, data):
+    """values, value and worst_case equal the one-point formulas bit for bit."""
+    u = data.draw(_scalarizers(inst))
+    tensor = inst.image_tensor()
+    sids = inst.scenarios.ids
+    try:
+        vals = u.values(tensor)
+        want = np.array([[reference_value(u, y) for y in row] for row in tensor])
+    except RuntimeError:
+        # a hull LP stalled or ended "infeasible": an LP kernel fault that both
+        # paths hit alike, since both call geometry.signed_distance per point
+        reject()
+    assert vals.shape == tensor.shape[:2]
+    assert vals.tobytes() == want.tobytes()
+    for cand, row, want_row in zip(inst.candidate_list(), tensor, want):
+        assert np.array([u.value(y) for y in row]).tobytes() == want_row.tobytes()
+        wc = worst_case(u, ObjectiveImage(cand, sids, row))
+        ref_val, ref_sid = reference_worst_case(u, sids, row)
+        assert (np.float64(wc.value).tobytes(), wc.scenario_id) == (np.float64(ref_val).tobytes(), ref_sid)
+
+
+@pytest.fixture(scope="module")
+def default_phantom():
+    return generate(PhantomConfig())
+
+
+def test_values_match_the_reference_on_the_default_phantom(default_phantom):
+    """The sweep's p-norms and the weighted sum that batched products get wrong, on every point."""
+    tensor = default_phantom.image_tensor()
+    scale = objective_scale(default_phantom)
+    family = [WeightedPNorm(1.0 / scale if math.isinf(p) else scale ** -p, p, n=2)
+              for p in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0, math.inf)]
+    for u in family + [WeightedSum([1 / 3, 2 / 3])]:
+        want = np.array([[reference_value(u, y) for y in row] for row in tensor])
+        assert u.values(tensor).tobytes() == want.tobytes(), u.name
+
+
 class TestWorstCase:
     def test_problem1_origin(self, problem1):
         wc = worst_case(WeightedSum([0.5, 0.5]), problem1.image(0))
@@ -72,6 +164,17 @@ class TestWorstCase:
         wc = worst_case(WeightedSum([0.5, 0.5]), problem1.image(1))
         assert abs(wc.value - 2.0) < 1e-12
         assert wc.scenario_id == "2"
+
+    def test_ties_keep_the_first_scenario(self):
+        # rows 1 and 2 tie for the max under every scalarizer below; row 0 is lower
+        img = ObjectiveImage("x", ("a", "b", "c"), np.array([[0.0, 0.0], [3.0, 1.0], [1.0, 3.0]]))
+        anchors = np.array([[2.0, 2.0]])
+        for u in (WeightedSum([0.5, 0.5]), WeightedPNorm(1, 2.0, n=2), WeightedPNorm(1, np.inf, n=2),
+                  Chebyshev([1, 1]), SignedDistanceScalarizer(anchors, "plain"),
+                  SignedDistanceScalarizer(anchors, "hull")):
+            assert worst_case(u, img).scenario_id == "b", u.name
+        same = ObjectiveImage("x", ("a", "b"), np.array([[1.0, 2.0], [1.0, 2.0]]))
+        assert worst_case(Chebyshev([1, 1]), same) == (2.0, "a")
 
     def test_constructive_zero_at_anchor_candidate(self, problem1):
         u = constructive_scalarizer(problem1, 0, mode="plain")

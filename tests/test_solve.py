@@ -99,6 +99,24 @@ def test_simplex_tie_breaks_to_smallest_point():
     assert abs(res.value - 1.0) < 1e-12
 
 
+def test_refinement_tie_goes_to_the_smaller_point():
+    # worst case max(1, y1) with y1 = (1 - x1) / 0.7: flat at 1 for x1 >= 0.3, so
+    # the lattice ties from 0.5 up and each refinement pass finds a smaller tie
+    fam = AffineFamilyObjectives({"flat": [[1, 1], [1, 1]], "slope": [[0, 1 / 0.7], [0, 0]]})
+    inst = Instance(
+        n=2,
+        scenarios=ScenarioSet(ids=("flat", "slope")),
+        objectives=fam,
+        candidates=SimplexCandidates(dim=2, step=0.25),
+    )
+    u = Chebyshev(np.ones(2))
+    assert candidate_label(minimize_scalarized(inst, u, refinements=0).best) == "0.5"
+    assert candidate_label(minimize_scalarized(inst, u, refinements=1).best) == "0.375"
+    res = minimize_scalarized(inst, u)
+    assert (candidate_label(res.best), res.value, res.worst_scenario) == ("0.3125", 1.0, "flat")
+    assert res.evaluations == 5 + 4 + 4
+
+
 def test_refinement_never_increases_value(problem1):
     u = WeightedPNorm(np.ones(2), 2.0)
     coarse = minimize_scalarized(problem1, u, refinements=0)
