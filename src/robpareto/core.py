@@ -1,9 +1,14 @@
 """Problem model: decision candidates, scenario sets, uncertain objective maps.
 
 An Instance bundles n objectives, a finite scenario set S, an objective map
-f(x; s), and a candidate space X.  Everything downstream (dominance tests,
-efficiency certificates, scalarized solves) consumes images f(x; S) produced
-here by _image_values, the one evaluator of the objective forms:
+f(x; s), and a candidate space X.  Each objective form stores one read-only
+stacked array plus the id tuples (and id -> position dicts) that index it: a
+table as (C, S, n), an affine family as (S, n, k), a linear-in-s map as
+(C, n, d).  Nested id mappings exist only at the input boundary (the
+constructors and the JSON format), where one check stacks them and rejects
+ragged, non-numeric or non-finite entries.  Everything downstream (dominance
+tests, efficiency certificates, scalarized solves) consumes images f(x; S)
+produced here by _image_values, the one evaluator of the objective forms:
 Instance.image_tensor() holds all images as one read-only (N, |S|, n) array,
 and Instance.image() is a one-row call for any candidate.  Instances are
 immutable after construction; arrays are marked read-only.
@@ -12,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,29 +30,32 @@ DEFAULT_STEP = 0.05
 Candidate = Union[str, tuple]
 
 
-def as_objective_vector(values, n: Optional[int] = None) -> np.ndarray:
-    """Validate and freeze one point in objective space."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"objective vector must be 1-d, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"objective vector has length {arr.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("objective vector has non-finite entries")
-    arr.flags.writeable = False
-    return arr
-
-
-def _frozen_matrix(values, shape=None, what="matrix") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{what} must be 2-d, got shape {arr.shape}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise ValueError(f"{what} has shape {arr.shape}, expected {tuple(shape)}")
+def _frozen(values, what: str, ndim: int) -> np.ndarray:
+    """values as a read-only float array with ndim axes, checked finite in one pass."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} entries must be numbers that share one dimension on each axis") from None
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {ndim} axes")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} has non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _stacked(entries, what: str, ndim: int) -> tuple:
+    """(ids, array, id -> position) of a non-empty mapping, its entries stacked by _frozen."""
+    if not isinstance(entries, Mapping) or not entries:
+        raise ValueError(f"{what} must be a non-empty object")
+    ids = tuple(str(k) for k in entries)
+    return ids, _frozen(list(entries.values()), what, ndim), {k: i for i, k in enumerate(ids)}
+
+
+def _require_ids(positions: dict, ids, kind: str, where: str) -> None:
+    missing = next((i for i in ids if i not in positions), None)
+    if missing is not None:
+        raise ValueError(f"{kind} {missing!r} missing from {where}")
 
 
 @dataclass(eq=False)
@@ -69,32 +78,18 @@ class ScenarioSet:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("scenario ids must be unique")
         if self.coords is not None:
-            coords = {}
-            dim = None
-            for sid in self.ids:
-                if sid not in self.coords:
-                    raise ValueError(f"scenario {sid!r} missing from coords")
-                vec = np.asarray(self.coords[sid], dtype=float).ravel()
-                if dim is None:
-                    dim = vec.shape[0]
-                elif vec.shape[0] != dim:
-                    raise ValueError("scenario coords must share one dimension")
-                vec.flags.writeable = False
-                coords[sid] = vec
-            self.coords = coords
+            _require_ids(self.coords, self.ids, "scenario", "coords")
+            _, rows, _ = _stacked({sid: np.ravel(self.coords[sid]) for sid in self.ids}, "scenario coords", 2)
+            self.coords = dict(zip(self.ids, rows))
         if self.polyhedral_form is not None:
             a, b = self.polyhedral_form
-            a = _frozen_matrix(a, what="polyhedral A")
-            bv = np.asarray(b, dtype=float).ravel()
+            a = _frozen(a, "polyhedral A", 2)
+            bv = _frozen(np.ravel(b), "polyhedral b", 1)
             if bv.shape[0] != a.shape[0]:
                 raise ValueError("polyhedral form: A rows and b length differ")
-            bv.flags.writeable = False
             self.polyhedral_form = (a, bv)
-            if self.coords is not None:
-                ncol = a.shape[1]
-                for vec in self.coords.values():
-                    if vec.shape[0] != ncol:
-                        raise ValueError("polyhedral A columns must match scenario coords")
+            if self.coords is not None and rows.shape[1] != a.shape[1]:
+                raise ValueError("polyhedral A columns must match scenario coords")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -106,94 +101,70 @@ class ScenarioSet:
             raise KeyError(f"unknown scenario id {scenario_id!r}") from None
 
 
-@dataclass(eq=False)
 class TableObjectives:
-    """Explicit per-(candidate, scenario) objective vectors."""
+    """Explicit per-(candidate, scenario) objective vectors.
 
-    values: dict  # candidate id -> scenario id -> vector
+    values maps candidate id -> scenario id -> vector, every row naming the
+    same scenario ids; it is stored as array[c, s], shape (C, S, n), indexed
+    by candidate_ids and scenario_ids (positions in candidate_pos, scenario_pos).
+    """
+
     form = "table"
 
-    def __post_init__(self):
-        n = None
-        table = {}
-        for cid, row in self.values.items():
-            table[str(cid)] = inner = {}
-            for sid, vec in row.items():
-                v = as_objective_vector(vec, n)
-                n = v.shape[0]
-                inner[str(sid)] = v
-        if not table:
-            raise ValueError("objective table is empty")
-        self.values = table
-        self.n = n
+    def __init__(self, values):
+        rows = values if isinstance(values, Mapping) else {}
+        first = next(iter(rows.values()), {})
+        if not all(isinstance(row, Mapping) and row.keys() == first.keys() for row in rows.values()):
+            raise ValueError("objective table rows must be objects naming the same scenario ids")
+        self.candidate_ids, self.array, self.candidate_pos = _stacked(
+            {cid: [row[sid] for sid in first] for cid, row in rows.items()}, "objective table", 3)
+        self.scenario_ids = tuple(str(sid) for sid in first)
+        self.scenario_pos = {sid: i for i, sid in enumerate(self.scenario_ids)}
+        self.n = self.array.shape[2]
 
     def validate_against(self, scenarios: ScenarioSet, candidate_ids: Sequence[str]):
-        # every (candidate, scenario) pair must be present
-        for cid in candidate_ids:
-            if cid not in self.values:
-                raise ValueError(f"objective table missing candidate {cid!r}")
-            for sid in scenarios.ids:
-                if sid not in self.values[cid]:
-                    raise ValueError(f"objective table missing pair ({cid!r}, {sid!r})")
+        _require_ids(self.candidate_pos, candidate_ids, "candidate", "objective table")
+        _require_ids(self.scenario_pos, scenarios.ids, "scenario", "objective table")
 
 
-@dataclass(eq=False)
 class AffineFamilyObjectives:
     """Per-scenario vertex-image matrices V_s with f(x; s) = V_s x on the simplex.
 
     Columns of V_s are the images of the simplex vertices, so images are
-    affine in the barycentric coordinates of x.
+    affine in the barycentric coordinates of x.  vertex_images maps scenario
+    id -> (n, k) matrix; it is stored as array[s], shape (S, n, k), indexed by
+    scenario_ids (positions in scenario_pos).
     """
 
-    vertex_images: dict  # scenario id -> (n, k) matrix
     form = "affine_family"
 
-    def __post_init__(self):
-        mats = {}
-        shape = None
-        for sid, mat in self.vertex_images.items():
-            m = _frozen_matrix(mat, shape, what=f"vertex images for scenario {sid!r}")
-            shape = m.shape
-            mats[str(sid)] = m
-        if not mats:
-            raise ValueError("affine family is empty")
-        self.vertex_images = mats
-        self.n, self.dim = shape
+    def __init__(self, vertex_images):
+        self.scenario_ids, self.array, self.scenario_pos = _stacked(vertex_images, "affine family", 3)
+        _, self.n, self.dim = self.array.shape
 
     def validate_against(self, scenarios: ScenarioSet, candidate_ids=None):
-        for sid in scenarios.ids:
-            if sid not in self.vertex_images:
-                raise ValueError(f"affine family missing scenario {sid!r}")
+        _require_ids(self.scenario_pos, scenarios.ids, "scenario", "affine family")
 
 
-@dataclass(eq=False)
 class LinearScenarioObjectives:
-    """Per-candidate matrices F(x) with f(x; s) = F(x) s."""
+    """Per-candidate matrices F(x) with f(x; s) = F(x) s.
 
-    matrices: dict  # candidate id -> (n, n_s) matrix
+    matrices maps candidate id -> (n, n_s) matrix; it is stored as array[c],
+    shape (C, n, n_s), indexed by candidate_ids (positions in candidate_pos).
+    """
+
     form = "linear_in_s"
 
-    def __post_init__(self):
-        mats = {}
-        shape = None
-        for cid, mat in self.matrices.items():
-            m = _frozen_matrix(mat, shape, what=f"F matrix for candidate {cid!r}")
-            shape = m.shape
-            mats[str(cid)] = m
-        if not mats:
-            raise ValueError("linear-in-s map is empty")
-        self.matrices = mats
-        self.n, self.scenario_dim = shape
+    def __init__(self, matrices):
+        self.candidate_ids, self.array, self.candidate_pos = _stacked(matrices, "linear-in-s map", 3)
+        _, self.n, self.scenario_dim = self.array.shape
 
     def validate_against(self, scenarios: ScenarioSet, candidate_ids: Sequence[str]):
         if scenarios.coords is None:
             raise ValueError("linear-in-s objectives need scenario coords")
-        for vec in scenarios.coords.values():
-            if vec.shape[0] != self.scenario_dim:
-                raise ValueError("scenario coords do not match F matrix columns")
-        for cid in candidate_ids:
-            if cid not in self.matrices:
-                raise ValueError(f"linear-in-s map missing candidate {cid!r}")
+        if next(iter(scenarios.coords.values())).shape[0] != self.scenario_dim:
+            raise ValueError("scenario coords do not match F matrix columns")
+        _require_ids(self.candidate_pos, candidate_ids, "candidate", "linear-in-s map")
 
 
 ObjectiveMap = Union[TableObjectives, AffineFamilyObjectives, LinearScenarioObjectives]
@@ -204,6 +175,8 @@ class ExplicitCandidates:
     ids: tuple
 
     def __post_init__(self):
+        if isinstance(self.ids, str):
+            raise ValueError(f"candidate ids must be a list, not the string {self.ids!r}")
         self.ids = tuple(str(i) for i in self.ids)
         if len(self.ids) == 0:
             raise ValueError("candidate list is empty")
@@ -415,12 +388,13 @@ def _image_values(objectives: ObjectiveMap, scenarios: ScenarioSet, cands) -> np
     """
     sids = scenarios.ids
     if objectives.form == "table":
-        return np.array([[objectives.values[c][s] for s in sids] for c in cands], dtype=float)
+        rows = [objectives.candidate_pos[c] for c in cands]
+        return objectives.array[np.ix_(rows, [objectives.scenario_pos[s] for s in sids])]
     if objectives.form == "affine_family":
-        mats = np.stack([objectives.vertex_images[s] for s in sids])[None]  # (1, S, n, k)
+        mats = objectives.array[[objectives.scenario_pos[s] for s in sids]][None]  # (1, S, n, k)
         vecs = np.asarray(cands, dtype=float)[:, None, :]  # (N, 1, k)
     else:
-        mats = np.stack([objectives.matrices[c] for c in cands])[:, None]  # (N, 1, n, d)
+        mats = objectives.array[[objectives.candidate_pos[c] for c in cands]][:, None]  # (N, 1, n, d)
         vecs = np.stack([scenarios.coords[s] for s in sids])[None]  # (1, S, d)
     return np.matmul(mats, vecs[..., None])[..., 0]
 
@@ -522,11 +496,12 @@ def instance_to_dict(instance: Instance, ambiguity: Optional[dict] = None) -> di
 
     obj = instance.objectives
     if obj.form == "table":
-        objectives = {"table": {c: {s: v.tolist() for s, v in row.items()} for c, row in obj.values.items()}}
+        rows = (dict(zip(obj.scenario_ids, row)) for row in obj.array.tolist())
+        objectives = {"table": dict(zip(obj.candidate_ids, rows))}
     elif obj.form == "affine_family":
-        objectives = {"affine_family": {s: m.tolist() for s, m in obj.vertex_images.items()}}
+        objectives = {"affine_family": dict(zip(obj.scenario_ids, obj.array.tolist()))}
     else:
-        objectives = {"linear_in_s": {c: m.tolist() for c, m in obj.matrices.items()}}
+        objectives = {"linear_in_s": dict(zip(obj.candidate_ids, obj.array.tolist()))}
 
     cands = instance.candidates
     if isinstance(cands, ExplicitCandidates):
@@ -585,7 +560,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         raise ValueError(f"unknown objective form {form!r}")
 
     if "explicit" in raw_cand:
-        candidates: CandidateSpace = ExplicitCandidates(tuple(raw_cand["explicit"]))
+        candidates: CandidateSpace = ExplicitCandidates(raw_cand["explicit"])
     elif "simplex" in raw_cand:
         spx = raw_cand["simplex"]
         if "points" in spx:

@@ -112,7 +112,7 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
     obj = instance.objectives
     if isinstance(obj, AffineFamilyObjectives):
         mixed = {
-            gid: sum(pi[i] * obj.vertex_images[sid] for i, sid in enumerate(sids))
+            gid: sum(pi[i] * obj.array[obj.scenario_pos[sid]] for i, sid in enumerate(sids))
             for gid, pi in zip(gids, dists)
         }
         objectives: ObjectiveMap = AffineFamilyObjectives(mixed)
@@ -122,7 +122,7 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
             gid: sum(pi[i] * instance.scenarios.coords[sid] for i, sid in enumerate(sids))
             for gid, pi in zip(gids, dists)
         }
-        objectives = LinearScenarioObjectives(dict(obj.matrices))
+        objectives = obj  # the F matrices do not depend on the scenarios
         scenarios = ScenarioSet(ids=gids, coords=coords)
     else:
         # table maps always ride on explicit candidate ids

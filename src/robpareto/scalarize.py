@@ -255,10 +255,11 @@ def epigraph_form(instance: Instance, u: Scalarizer, candidate=None):
         raise ValueError("joint epigraph LP needs an affine family over simplex candidates")
     k = instance.candidates.dim
     sids = instance.scenarios.ids
+    family = instance.objectives
     # scenario rows: w^T V_s x - lambda <= 0
     a_ub = np.zeros((len(sids), k + 1))
     for r, sid in enumerate(sids):
-        a_ub[r, :k] = u.w @ instance.objectives.vertex_images[sid]
+        a_ub[r, :k] = u.w @ family.array[family.scenario_pos[sid]]
         a_ub[r, k] = -1.0
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
@@ -280,7 +281,7 @@ def dual_reformulate(instance: Instance, w, candidate) -> LpProblem:
     if instance.scenarios.polyhedral_form is None:
         raise ValueError("dual reformulation needs a polyhedral scenario set")
     cand = instance.resolve_candidate(candidate)
-    f_mat = instance.objectives.matrices[cand]
+    f_mat = instance.objectives.array[instance.objectives.candidate_pos[cand]]
     wv = _weight_vector(w, instance.n, positive=False)
     a, b = instance.scenarios.polyhedral_form
     rhs = f_mat.T @ wv

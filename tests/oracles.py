@@ -164,11 +164,11 @@ def reference_image(objectives, scenarios, candidate) -> np.ndarray:
     rows = []
     for sid in scenarios.ids:
         if objectives.form == "table":
-            rows.append(objectives.values[candidate][sid])
+            rows.append(objectives.array[objectives.candidate_pos[candidate], objectives.scenario_pos[sid]])
         elif objectives.form == "affine_family":
-            rows.append(objectives.vertex_images[sid] @ np.asarray(candidate, dtype=float))
+            rows.append(objectives.array[objectives.scenario_pos[sid]] @ np.asarray(candidate, dtype=float))
         else:
-            rows.append(objectives.matrices[candidate] @ scenarios.coords[sid])
+            rows.append(objectives.array[objectives.candidate_pos[candidate]] @ scenarios.coords[sid])
     return np.array(rows, dtype=float)
 
 

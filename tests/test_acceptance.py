@@ -254,7 +254,7 @@ def test_a8_oracle_equivalence(acceptance_log):
             res = lp_solve(dual_reformulate(inst, w, cand))
             assert res.status == "optimal"
             a, b = inst.scenarios.polyhedral_form
-            f_mat = inst.objectives.matrices[cand]
+            f_mat = inst.objectives.array[inst.objectives.candidate_pos[cand]]
             assert abs(res.value - max_linear_over_polytope(f_mat.T @ w, a, b)) <= 1e-7
 
     run_criterion(

@@ -27,6 +27,42 @@ def parse_csv(text):
     return {r["candidate"]: r for r in rows}
 
 
+_ROW = {"1": [1, 2], "2": [3, 4]}
+
+
+def _table_file(table):
+    return {"n": 2, "scenarios": {"ids": ["1", "2"]}, "objectives": {"table": table},
+            "candidates": {"explicit": ["a", "b"]}}
+
+
+def _linear_file(first_coord):
+    return {"n": 1, "scenarios": {"ids": ["1", "2"], "coords": {"1": [first_coord], "2": [2.0]}},
+            "objectives": {"linear_in_s": {"a": [[1.0]], "b": [[2.0]]}}, "candidates": {"explicit": ["a", "b"]}}
+
+
+# instance files that must be input errors (exit 2, one line)
+_MALFORMED = {
+    "row not an object": _table_file({"a": [1, 2], "b": _ROW}),
+    "affine family as a list": {"n": 2, "scenarios": {"ids": ["1"]},
+                                "objectives": {"affine_family": [[[0, 1], [2, 4]]]},
+                                "candidates": {"simplex": {"dim": 2, "step": 0.5}}},
+    "nan entry": _table_file({"a": {"1": [float("nan"), 2], "2": [3, 4]}, "b": _ROW}),
+    "vector of the wrong length": _table_file({"a": {"1": [1, 2, 3], "2": [3, 4]}, "b": _ROW}),
+    "missing pair": _table_file({"a": {"1": [1, 2]}, "b": {"1": [1, 2]}}),
+    "rows name different scenarios": _table_file({"a": {**_ROW, "3": [0, 0]}, "b": _ROW}),
+    "empty table": _table_file({}),
+    "scalar entry": _table_file({"a": {"1": 5, "2": [3, 4]}, "b": _ROW}),
+    "string entry": _table_file({"a": {"1": "12", "2": [3, 4]}, "b": _ROW}),
+    "n disagrees with the map": {**_table_file({"a": _ROW, "b": _ROW}), "n": 3},
+    "linear-in-s candidate missing": {**_linear_file(1.0), "candidates": {"explicit": ["a", "b", "c"]}},
+    "nan coords": _linear_file(float("nan")),
+    "infinite coords": _linear_file(float("inf")),
+    "nan polyhedral b": {**_linear_file(1.0), "scenarios": {"ids": ["1", "2"], "coords": {"1": [1], "2": [2]},
+                                                          "A": [[1.0]], "b": [float("nan")]}},
+    "explicit candidates as a string": {**_table_file({"a": _ROW, "b": _ROW}), "candidates": {"explicit": "ab"}},
+}
+
+
 class TestClassify:
     def test_problem1_stdout(self, capsys):
         code, out, _ = run(capsys, "classify", "--builtin", "problem-1")
@@ -301,6 +337,15 @@ class TestErrorPaths:
         }))
         code, _, err = run(capsys, "classify", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("name", list(_MALFORMED))
+    def test_malformed_instance_file(self, capsys, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_MALFORMED[name]))
+        for argv in (["classify", str(path)], ["scalarize", str(path), "--u", "wsum:w=1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: instance file {str(path)!r}: ") and err.count("\n") == 1
 
     def test_bad_scalarizer_spec(self, capsys):
         code, _, err = run(

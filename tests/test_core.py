@@ -126,6 +126,83 @@ def test_scenario_coords_validation():
         ScenarioSet(ids=("1",), coords={"1": [1.0, 0.0]}, polyhedral_form=([[1.0, 1.0]], [1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scenario_geometry_must_be_finite(bad):
+    with pytest.raises(ValueError, match="^scenario coords has non-finite entries$"):
+        ScenarioSet(ids=("1", "2"), coords={"1": [bad], "2": [0.0]})
+    with pytest.raises(ValueError, match="^polyhedral b has non-finite entries$"):
+        ScenarioSet(ids=("1",), coords={"1": [1.0]}, polyhedral_form=([[1.0]], [bad]))
+    with pytest.raises(ValueError, match="^polyhedral A has non-finite entries$"):
+        ScenarioSet(ids=("1",), polyhedral_form=([[bad]], [1.0]))
+
+
+def test_explicit_candidates_reject_a_string():
+    with pytest.raises(ValueError, match="not the string 'ab'"):
+        ExplicitCandidates("ab")
+    assert ExplicitCandidates(["ab"]).ids == ("ab",)
+
+
+_SHAPE = "entries must be numbers that share one dimension on each axis"
+
+
+@pytest.mark.parametrize("make, data, message", [
+    (TableObjectives, [], "^objective table must be a non-empty object$"),
+    (TableObjectives, {}, "^objective table must be a non-empty object$"),
+    (TableObjectives, {"a": [1.0, 2.0]}, "^objective table rows must be objects naming the same scenario ids$"),
+    (TableObjectives, {"a": {"1": [1.0]}, "b": [1.0]}, "rows must be objects naming the same"),
+    (TableObjectives, {"a": {"1": [1.0], "2": [1.0]}, "b": {"1": [1.0]}}, "rows must be objects naming the same"),
+    (TableObjectives, {"a": {"1": [1.0]}, "b": {"2": [1.0]}}, "rows must be objects naming the same"),
+    (TableObjectives, {"a": {"1": [1.0]}, "b": {"1": [1.0, 2.0]}}, "^objective table " + _SHAPE),
+    (TableObjectives, {"a": {"1": [1.0], "2": "ab"}}, "^objective table " + _SHAPE),
+    (TableObjectives, {"a": {"1": 1.0}}, r"^objective table has shape \(1, 1\), expected 3 axes$"),
+    (TableObjectives, {"a": {"1": [1.0, np.nan]}}, "^objective table has non-finite entries$"),
+    (AffineFamilyObjectives, [[[0.0, 1.0]]], "^affine family must be a non-empty object$"),
+    (AffineFamilyObjectives, {"1": [[0.0, 1.0]], "2": [[0.0, 1.0, 2.0]]}, "^affine family " + _SHAPE),
+    (AffineFamilyObjectives, {"1": [0.0, 1.0]}, r"^affine family has shape \(1, 2\), expected 3 axes$"),
+    (AffineFamilyObjectives, {"1": [[0.0, np.inf]]}, "^affine family has non-finite entries$"),
+    (LinearScenarioObjectives, {}, "^linear-in-s map must be a non-empty object$"),
+    (LinearScenarioObjectives, {"a": [["x"]]}, "^linear-in-s map " + _SHAPE),
+    (LinearScenarioObjectives, {"a": [[1.0]], "b": [[1.0], [2.0]]}, "^linear-in-s map " + _SHAPE),
+    (LinearScenarioObjectives, {"a": [[-np.inf]]}, "^linear-in-s map has non-finite entries$"),
+])
+def test_objective_map_validation(make, data, message):
+    with pytest.raises(ValueError, match=message):
+        make(data)
+
+
+def test_objective_maps_store_one_stacked_array():
+    # rows may list their scenarios in any order; the array follows the first row
+    table = TableObjectives({"a": {"2": [1.0, 2.0], "1": [3.0, 4.0]}, "b": {"1": [5.0, 6.0], "2": [7.0, 8.0]}})
+    assert (table.candidate_ids, table.scenario_ids) == (("a", "b"), ("2", "1"))
+    assert (table.candidate_pos, table.scenario_pos) == ({"a": 0, "b": 1}, {"2": 0, "1": 1})
+    np.testing.assert_array_equal(table.array, [[[1, 2], [3, 4]], [[7, 8], [5, 6]]])
+    inst = Instance(n=2, scenarios=ScenarioSet(ids=("1", "2")), objectives=table,
+                    candidates=ExplicitCandidates(("b", "a")))
+    np.testing.assert_array_equal(inst.image_tensor(), [[[5, 6], [7, 8]], [[3, 4], [1, 2]]])
+    family = AffineFamilyObjectives({"1": [[0, 1], [2, 4]], "2": [[2, 1], [2, 1]]})
+    assert family.array.shape == (2, 2, 2) and family.scenario_pos == {"1": 0, "2": 1}
+    linear = LinearScenarioObjectives({"a": [[1, 0, 2]], "b": [[2, 2, 0]]})
+    assert linear.array.shape == (2, 1, 3) and linear.candidate_pos == {"a": 0, "b": 1}
+    for obj in (table, family, linear):
+        assert not obj.array.flags.writeable and obj.array.dtype == float
+
+
+def test_validate_against_names_the_missing_id():
+    scen = ScenarioSet(ids=("1", "2"))
+    table = TableObjectives({"a": {"1": [1.0], "2": [2.0]}})
+    with pytest.raises(ValueError, match="^candidate 'b' missing from objective table$"):
+        Instance(n=1, scenarios=scen, objectives=table, candidates=ExplicitCandidates(("a", "b")))
+    with pytest.raises(ValueError, match="^scenario '3' missing from objective table$"):
+        Instance(n=1, scenarios=ScenarioSet(ids=("1", "3")), objectives=table, candidates=ExplicitCandidates(("a",)))
+    family = AffineFamilyObjectives({"1": [[0.0, 1.0]]})
+    with pytest.raises(ValueError, match="^scenario '2' missing from affine family$"):
+        Instance(n=1, scenarios=scen, objectives=family, candidates=SimplexCandidates(dim=2))
+    coords = ScenarioSet(ids=("1",), coords={"1": [1.0]})
+    linear = LinearScenarioObjectives({"a": [[1.0]]})
+    with pytest.raises(ValueError, match="^candidate 'b' missing from linear-in-s map$"):
+        Instance(n=1, scenarios=coords, objectives=linear, candidates=ExplicitCandidates(("a", "b")))
+
+
 def test_objective_scale(problem1):
     np.testing.assert_allclose(objective_scale(problem1), [4.0, 4.0])
     scen = ScenarioSet(ids=("1",))
@@ -155,15 +232,27 @@ def _linear_instance():
     )
 
 
-@pytest.mark.parametrize("maker", [_table_instance, _linear_instance])
-def test_json_round_trip(tmp_path, maker):
-    inst = maker()
-    path = tmp_path / "inst.json"
+def _assert_round_trip(inst, path):
+    # save -> load -> save writes the same text, and the reloaded images are the same bytes
     save_instance(inst, path)
     text = path.read_text()
     assert text.endswith("\n")
     loaded = load_instance(path)
     assert instance_to_dict(loaded) == instance_to_dict(inst)
+    save_instance(loaded, path)
+    assert path.read_text() == text
+    assert loaded.image_tensor().tobytes() == inst.image_tensor().tobytes()
+
+
+@pytest.mark.parametrize("maker", [_table_instance, _linear_instance])
+def test_json_round_trip(tmp_path, maker):
+    _assert_round_trip(maker(), tmp_path / "inst.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_json_round_trip_of_drawn_instances(tmp_path_factory, inst):
+    _assert_round_trip(inst, tmp_path_factory.mktemp("round-trip") / "inst.json")
 
 
 def test_json_round_trip_builtins(tmp_path):

@@ -256,7 +256,7 @@ class TestDual:
             res = lp_solve(dual_reformulate(inst, w, cand))
             assert res.status == "optimal"
             a, b = inst.scenarios.polyhedral_form
-            F = inst.objectives.matrices[cand]
+            F = inst.objectives.array[inst.objectives.candidate_pos[cand]]
             want = max_linear_over_polytope(F.T @ w, a, b)
             assert abs(res.value - want) < 1e-7
 
