@@ -4,6 +4,10 @@ Subcommands: classify (efficiency CSV), scalarize (worst-case minimization),
 sweep (p-norm study with figure data), phantom (generated fixture emission),
 report (witness re-verification and randomized self-checks).
 
+Each option is declared only on the subcommands that read it (build_parser).
+Each cmd_* function returns a Run, its stdout text and {file name: text}
+artifacts; _finish alone writes it, with --emit as files plus manifest.json.
+
 Exit codes are a stable contract: 0 success, 1 report found violations,
 2 input error, 3 empty or degenerate model, 4 I/O failure, 5 internal
 failure (a stalled LP solve or a violated internal invariant, reported in
@@ -112,18 +116,6 @@ def _atomic_write(path: str, text: str) -> None:
         except OSError:
             pass
         raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from None
-
-
-def _emit_dir(args) -> Optional[str]:
-    if args.emit is None:
-        return None
-    try:
-        os.makedirs(args.emit, exist_ok=True)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot create output directory {args.emit!r}: {exc}") from None
-    if not os.path.isdir(args.emit) or not os.access(args.emit, os.W_OK):
-        raise CliError(EXIT_IO, f"output directory {args.emit!r} is not writable")
-    return args.emit
 
 
 def _fmt(v: float) -> str:
@@ -382,31 +374,30 @@ def classification_csv(report: EfficiencyReport) -> str:
     return _csv_text(rows)
 
 
-def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
+@dataclass
+class Run:
+    """One subcommand's results.  With --emit, files are written with the
+    manifest and a summary, if any, replaces stdout by 'wrote <first file>:
+    <summary>'.  A failure goes to stderr and makes the run exit 1."""
+
+    stdout: str
+    source: str = ""
+    files: dict = field(default_factory=dict)
+    summary: Optional[str] = None
+    scalarizers: list = field(default_factory=list)
+    failure: Optional[str] = None
+
+
+def cmd_classify(args) -> Run:
     instance, source = _load_instance(args)
     report = classify(instance, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
     text = classification_csv(report)
-    out = _emit_dir(args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        path = os.path.join(out, "classify.csv")
-        _atomic_write(path, text)
-        manifest = RunManifest(
-            command="classify", source=source, step=args.step,
-            eq_tol=args.eq_tol, strict_tol=args.strict_tol, seed=args.seed,
-            outputs=[path], wall_clock_s=round(time.perf_counter() - t0, 6),
-        )
-        _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
-        counts = {k: len(report.efficient(k)) for k in _NOTIONS}
-        print(f"wrote {path}: {len(report.results)} candidates, "
-              + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    return EXIT_OK
+    counts = {k: len(report.efficient(k)) for k in _NOTIONS}
+    summary = f"{len(report.results)} candidates, " + ", ".join(f"{k}={v}" for k, v in counts.items())
+    return Run(text, source, {"classify.csv": text}, summary)
 
 
-def cmd_scalarize(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scalarize(args) -> Run:
     instance, source = _load_instance(args)
     records = []
     blocks = []
@@ -432,25 +423,17 @@ def cmd_scalarize(args) -> int:
             record["trace"] = {sid: v for sid, v in ev.per_scenario}
         records.append(record)
         blocks.append("\n".join(lines))
-    sys.stdout.write("\n\n".join(blocks) + "\n")
-    out = _emit_dir(args)
-    if out is not None:
-        path = os.path.join(out, "scalarize.json")
-        _atomic_write(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
-        manifest = RunManifest(
-            command="scalarize", source=source, scalarizers=list(args.u), step=args.step,
-            eq_tol=args.eq_tol, strict_tol=args.strict_tol, seed=args.seed,
-            outputs=[path], wall_clock_s=round(time.perf_counter() - t0, 6),
-        )
-        _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
-    return EXIT_OK
+    files = {"scalarize.json": json.dumps(records, indent=2, sort_keys=True) + "\n"}
+    return Run("\n\n".join(blocks) + "\n", source, files, scalarizers=list(args.u))
 
 
 def _ptag(p: float) -> str:
     return "inf" if math.isinf(p) else _fmt(p)
 
 
-def _sweep_files(entry: StudyEntry, out: str, scaled: bool) -> list:
+def _sweep_files(entry: StudyEntry, scaled: bool) -> dict:
+    """Figure data of one study entry: the optimal image as CSV, plus an SVG
+    scatter with the optimal level curve when there are two objectives."""
     sids = entry.image.scenario_ids
     values = entry.scaled if scaled else entry.image.values
     tag = _ptag(entry.p)
@@ -459,10 +442,8 @@ def _sweep_files(entry: StudyEntry, out: str, scaled: bool) -> list:
     rows = [["scenario_id"] + names]
     for sid, y in zip(sids, values):
         rows.append([sid] + [_fmt(v) for v in y])
-    csv_path = os.path.join(out, f"sweep_p{tag}.csv")
-    _atomic_write(csv_path, _csv_text(rows))
+    files = {f"sweep_p{tag}.csv": _csv_text(rows)}
 
-    svg_path = os.path.join(out, f"sweep_p{tag}.svg")
     if values.shape[1] == 2:
         # the study scalarizer divides by the global scale, so in scaled
         # coordinates its level sets are plain p-balls
@@ -471,14 +452,11 @@ def _sweep_files(entry: StudyEntry, out: str, scaled: bool) -> list:
         title = f"optimal image under the p={tag} worst-case norm"
         sub = (f"best {candidate_label(entry.result.best)}, value {_fmt(entry.result.value)}, "
                f"sup radius {_fmt(entry.sup_radius)}")
-        axes = tuple(names)
-        _atomic_write(svg_path, svg_scatter(values, sids, title, sub, curve=curve, axis_names=axes))
-        return [csv_path, svg_path]
-    return [csv_path]
+        files[f"sweep_p{tag}.svg"] = svg_scatter(values, sids, title, sub, curve=curve, axis_names=tuple(names))
+    return files
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sweep(args) -> Run:
     parts = [s for s in (args.p or "").split(",") if s.strip()]
     if not parts:
         raise CliError(EXIT_INPUT, "--p needs a nonempty comma-separated list, e.g. --p 1,2,10")
@@ -487,75 +465,78 @@ def cmd_sweep(args) -> int:
         raise CliError(EXIT_INPUT, f"--p values must be >= 1 (or inf), got {args.p!r}")
     instance, source = _load_instance(args)
     entries = p_norm_study(instance, ps=ps)
+    lines = [f"p={_ptag(e.p)} best={candidate_label(e.result.best)} value={_fmt(e.result.value)} "
+             f"worst_scenario={e.result.worst_scenario} sup_radius={_fmt(e.sup_radius)} "
+             f"one_norm_worst={_fmt(e.one_norm_worst)}\n" for e in entries]
+    files = {}
     for e in entries:
-        print(f"p={_ptag(e.p)} best={candidate_label(e.result.best)} value={_fmt(e.result.value)} "
-              f"worst_scenario={e.result.worst_scenario} sup_radius={_fmt(e.sup_radius)} "
-              f"one_norm_worst={_fmt(e.one_norm_worst)}")
-    out = _emit_dir(args)
-    if out is not None:
-        outputs = []
-        for e in entries:
-            outputs += _sweep_files(e, out, args.scaled)
-        manifest = RunManifest(
-            command="sweep", source=source,
-            scalarizers=[f"pnorm:p={_ptag(e.p)},scaled=unit-box" for e in entries],
-            step=args.step, eq_tol=args.eq_tol, strict_tol=args.strict_tol, seed=args.seed,
-            outputs=outputs, wall_clock_s=round(time.perf_counter() - t0, 6),
-        )
-        _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
-    return EXIT_OK
+        files.update(_sweep_files(e, args.scaled))
+    scalarizers = [f"pnorm:p={_ptag(e.p)},scaled=unit-box" for e in entries]
+    return Run("".join(lines), source, files, scalarizers=scalarizers)
 
 
-def cmd_phantom(args) -> int:
-    t0 = time.perf_counter()
+def cmd_phantom(args) -> Run:
     instance = generate_phantom(PhantomConfig())
     text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
-    out = _emit_dir(args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        path = os.path.join(out, "phantom.json")
-        _atomic_write(path, text)
-        manifest = RunManifest(
-            command="phantom", source="phantom:default", seed=args.seed,
-            eq_tol=args.eq_tol, strict_tol=args.strict_tol,
-            outputs=[path], wall_clock_s=round(time.perf_counter() - t0, 6),
-        )
-        _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
-        print(f"wrote {path}: {len(instance.candidate_list())} candidates, "
-              f"{len(instance.scenarios.ids)} scenarios")
-    return EXIT_OK
+    summary = f"{len(instance.candidate_list())} candidates, {len(instance.scenarios.ids)} scenarios"
+    return Run(text, "phantom:default", {"phantom.json": text}, summary)
 
 
-def cmd_report(args) -> int:
-    failures = 0
-    checked = 0
-    if args.instance or args.builtin or args.phantom:
-        instance, source = _load_instance(args)
-        violations = harness(instance, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
-        checked += 1
+def cmd_report(args) -> Run:
+    if args.random is not None and args.random < 0:
+        raise CliError(EXIT_INPUT, f"--random needs a count >= 0, got {args.random}")
+    lines = []
+    failed = []
+
+    def check(inst, name) -> bool:
+        violations = harness(inst, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
         if violations:
-            failures += 1
-            print(f"{source}: {len(violations)} violations")
-            for v in violations:
-                print(f"  {v}")
-        else:
-            print(f"{source}: certificates and scalarizer bounds verified")
-    count = args.random if args.random is not None else (0 if checked else 20)
+            failed.append(name)
+            lines.append(f"{name}: {len(violations)} violations")
+            lines.extend(f"  {v}" for v in violations)
+        return not violations
+
+    sourced = bool(args.instance or args.builtin or args.phantom)
+    if sourced:
+        instance, source = _load_instance(args)
+        if check(instance, source):
+            lines.append(f"{source}: certificates and scalarizer bounds verified")
+    count = args.random if args.random is not None else (0 if sourced else 20)
     if count:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         for i in range(count):
-            inst = random_instance(rng, name=f"random-{i}")
-            violations = harness(inst, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
-            checked += 1
-            if violations:
-                failures += 1
-                print(f"random-{i}: {len(violations)} violations")
-                for v in violations:
-                    print(f"  {v}")
-        print(f"random harness: {count} instances, {failures} with violations")
-    if failures:
-        print(f"self-check FAILED on {failures} of {checked} instances", file=sys.stderr)
+            check(random_instance(rng, name=f"random-{i}"), f"random-{i}")
+        lines.append(f"random harness: {count} instances, {len(failed)} with violations")
+    failure = f"self-check FAILED on {len(failed)} of {sourced + count} instances" if failed else None
+    return Run("".join(line + "\n" for line in lines), failure=failure)
+
+
+def _finish(args, run: Run, t0: float) -> int:
+    """Write a run's output: stdout, or with --emit its files and manifest."""
+    out = getattr(args, "emit", None)
+    if out is None:
+        sys.stdout.write(run.stdout)
+    else:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot create output directory {out!r}: {exc}") from None
+        if not os.path.isdir(out) or not os.access(out, os.W_OK):
+            raise CliError(EXIT_IO, f"output directory {out!r} is not writable")
+        paths = []
+        for name, text in run.files.items():
+            paths.append(os.path.join(out, name))
+            _atomic_write(paths[-1], text)
+        # an option the subcommand does not take keeps its RunManifest default
+        recorded = {k: getattr(args, k) for k in ("step", "eq_tol", "strict_tol", "seed") if hasattr(args, k)}
+        manifest = RunManifest(
+            command=args.command, source=run.source, scalarizers=run.scalarizers,
+            outputs=paths, wall_clock_s=round(time.perf_counter() - t0, 6), **recorded,
+        )
+        _atomic_write(os.path.join(out, "manifest.json"), manifest.to_json())
+        sys.stdout.write(run.stdout if run.summary is None else f"wrote {paths[0]}: {run.summary}\n")
+    if run.failure is not None:
+        print(run.failure, file=sys.stderr)
         return 1
     return EXIT_OK
 
@@ -564,18 +545,7 @@ def cmd_report(args) -> int:
 # entry point
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--step", type=float, default=None,
-                        help="simplex lattice step override")
-    common.add_argument("--eq-tol", dest="eq_tol", type=float, default=EQ_TOL,
-                        help="componentwise comparison tolerance")
-    common.add_argument("--strict-tol", dest="strict_tol", type=float, default=STRICT_TOL,
-                        help="strict improvement margin")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for the randomized self-check harness")
-    common.add_argument("--emit", metavar="DIR", default=None,
-                        help="directory for output files and the run manifest")
-
+    # each option sits on exactly the subcommands that read it
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("instance", nargs="?", default=None,
                         help="instance JSON file")
@@ -583,6 +553,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="built-in instance (problem-1, problem-2)")
     source.add_argument("--phantom", metavar="NAME", default=None,
                         help="generated dose fixture ('default')")
+    source.add_argument("--step", type=float, default=None,
+                        help="simplex lattice step override")
+
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--eq-tol", dest="eq_tol", type=float, default=EQ_TOL,
+                            help="componentwise comparison tolerance")
+    tolerances.add_argument("--strict-tol", dest="strict_tol", type=float, default=STRICT_TOL,
+                            help="strict improvement margin")
+
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", metavar="DIR", default=None,
+                      help="directory for output files and the run manifest")
 
     parser = argparse.ArgumentParser(
         prog="robpareto",
@@ -590,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common, source],
+    p = sub.add_parser("classify", parents=[source, tolerances, emit],
                        help="label every candidate with the four efficiency notions (CSV)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("scalarize", parents=[common, source],
+    p = sub.add_parser("scalarize", parents=[source, emit],
                        help="minimize a worst-case scalarized objective")
     p.add_argument("--u", action="append", required=True, metavar="SPEC",
                    help="scalarizer spec, e.g. pnorm:p=2,w=1,ref=0 or wsum:w=0.5,0.5 "
@@ -603,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print per-scenario scalar values at the optimum")
     p.set_defaults(func=cmd_scalarize)
 
-    p = sub.add_parser("sweep", parents=[common, source],
+    p = sub.add_parser("sweep", parents=[source, emit],
                        help="p-norm study: optimum per p with figure data")
     p.add_argument("--p", required=True, metavar="LIST",
                    help="comma-separated p values, e.g. 1,2,10")
@@ -611,23 +593,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit figure data in unit-box scaled objective coordinates")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("phantom", parents=[common],
+    p = sub.add_parser("phantom", parents=[emit],
                        help="emit the generated dose fixture as an instance file")
     p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("report", parents=[common, source],
+    p = sub.add_parser("report", parents=[source, tolerances],
                        help="re-verify certificates; optionally run the randomized harness")
     p.add_argument("--random", type=int, default=None, metavar="N",
                    help="also check N random instances (default 20 when no instance is given)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the random instances (default 0)")
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        return _finish(args, args.func(args), t0)
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

@@ -72,6 +72,8 @@ class ScenarioSet:
     polyhedral_form: Optional[tuple] = None
 
     def __post_init__(self):
+        if isinstance(self.ids, str):
+            raise ValueError(f"scenario ids must be a list, not the string {self.ids!r}")
         self.ids = tuple(str(i) for i in self.ids)
         if len(self.ids) == 0:
             raise ValueError("scenario set must contain at least one scenario")
@@ -221,6 +223,8 @@ class SimplexCandidates:
         if self.points is not None:
             pts = []
             for p in self.points:
+                if isinstance(p, str):
+                    raise ValueError(f"simplex point must be given by numbers, not the string {p!r}")
                 pts.append(simplex_point(p, self.dim))
             if not pts:
                 raise ValueError("explicit simplex point list is empty")
@@ -542,7 +546,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         if "A" in raw_scen or "b" in raw_scen:
             poly = (raw_scen["A"], raw_scen["b"])
         scenarios = ScenarioSet(
-            ids=tuple(raw_scen["ids"]),
+            ids=raw_scen["ids"],
             coords=raw_scen.get("coords"),
             polyhedral_form=poly,
         )
@@ -564,7 +568,7 @@ def instance_from_dict(data: Mapping) -> Instance:
     elif "simplex" in raw_cand:
         spx = raw_cand["simplex"]
         if "points" in spx:
-            candidates = SimplexCandidates(dim=int(spx["dim"]), points=tuple(tuple(p) for p in spx["points"]))
+            candidates = SimplexCandidates(dim=int(spx["dim"]), points=spx["points"])
         else:
             candidates = SimplexCandidates(dim=int(spx["dim"]), step=float(spx.get("step", DEFAULT_STEP)))
     else:

@@ -20,7 +20,7 @@ from .core import (
 from .distro import AmbiguitySet
 from .efficiency import classify
 from .geometry import EQ_TOL, STRICT_TOL
-from .scalarize import constructive_scalarizer, worst_case
+from .scalarize import constructive_scalarizer
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 3, max_scenarios: int = 4,
@@ -142,11 +142,13 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
             if not getattr(res, flag):
                 continue
             u = constructive_scalarizer(instance, res.candidate, mode=mode)
-            at_self = worst_case(u, images[res.candidate]).value
+            # worst case of every candidate; the anchor's own row is at_self
+            i = position[res.candidate]
+            worst = u.values(tensor).max(axis=-1)
+            at_self = float(worst[i])
             if abs(at_self) > 1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer is {at_self:.2e} at its anchor")
-            others = np.delete(tensor, position[res.candidate], axis=0)
-            floor = float(u.values(others).max(axis=-1).min(initial=at_self))
+            floor = float(worst[np.arange(worst.size) != i].min(initial=at_self))
             if floor < -1e-9:
                 problems.append(f"{res.candidate}: {mode} scalarizer goes below zero ({floor:.2e})")
     return problems

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from robpareto.cli import EXIT_INTERNAL, main
+from robpareto.cli import EXIT_INTERNAL, build_parser, main
 from robpareto.core import builtin_instance, load_instance, save_instance
 from robpareto.linprog import SolverStalledError
 
@@ -60,7 +60,24 @@ _MALFORMED = {
     "nan polyhedral b": {**_linear_file(1.0), "scenarios": {"ids": ["1", "2"], "coords": {"1": [1], "2": [2]},
                                                           "A": [[1.0]], "b": [float("nan")]}},
     "explicit candidates as a string": {**_table_file({"a": _ROW, "b": _ROW}), "candidates": {"explicit": "ab"}},
+    "scenario ids as a string": {**_table_file({"a": _ROW, "b": _ROW}), "scenarios": {"ids": "12"}},
+    "simplex points as strings": {"n": 2, "scenarios": {"ids": ["1"]},
+                                  "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
+                                  "candidates": {"simplex": {"dim": 2, "points": ["01", "10"]}}},
 }
+
+# which subcommands read which option; every other pair is a usage error
+_OPTIONS = {
+    "--step": ("classify", "scalarize", "sweep", "report"),
+    "--eq-tol": ("classify", "report"),
+    "--strict-tol": ("classify", "report"),
+    "--seed": ("report",),
+    "--emit": ("classify", "scalarize", "sweep", "phantom"),
+}
+_VALUES = {"--step": "0.25", "--eq-tol": "1e-9", "--strict-tol": "1e-9", "--seed": "3", "--emit": "out"}
+_SUBCOMMANDS = ("classify", "scalarize", "sweep", "phantom", "report")
+_REQUIRED = {"scalarize": ["--u", "wsum:w=1"], "sweep": ["--p", "1"]}
+_PAIRS = [(cmd, opt) for opt in _OPTIONS for cmd in _SUBCOMMANDS]
 
 
 class TestClassify:
@@ -140,6 +157,8 @@ class TestClassify:
         assert manifest["source"] == "builtin:problem-1"
         assert any(p.endswith("classify.csv") for p in manifest["outputs"])
         assert manifest["wall_clock_s"] >= 0
+        assert out == f"wrote {out_dir / 'classify.csv'}: 21 candidates, " \
+                      "robust=21, convex_hull=9, objectivewise=1, set_valued=21\n"
 
 
 class TestScalarize:
@@ -196,6 +215,11 @@ class TestScalarize:
         data = json.loads((out_dir / "scalarize.json").read_text())
         assert data[0]["best"] == "0.6"
         assert abs(data[0]["value"] - 1.6) < 1e-9
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == "scalarize"
+        assert manifest["scalarizers"] == ["wsum:w=0.5,0.5"]
+        assert manifest["outputs"] == [str(out_dir / "scalarize.json")]
+        assert (manifest["eq_tol"], manifest["strict_tol"], manifest["seed"]) == (1e-9, 1e-9, None)
 
 
 class TestSweep:
@@ -272,6 +296,9 @@ class TestPhantom:
         assert list(inst.scenarios.ids) == ["shift-3", "shift0", "shift3"]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "phantom"
+        assert manifest["outputs"] == [str(inst_path)]
+        assert (manifest["step"], manifest["eq_tol"], manifest["strict_tol"], manifest["seed"]) \
+            == (None, 1e-9, 1e-9, None)
 
     def test_unknown_phantom_source_exit_2(self, capsys):
         code, _, err = run(capsys, "classify", "--phantom", "sparse")
@@ -289,6 +316,11 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--random", "3", "--seed", "7")
         assert code == 0
         assert "random harness: 3 instances, 0 with violations" in out
+
+    def test_negative_random_count(self, capsys):
+        code, out, err = run(capsys, "report", "--random", "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: --random needs a count >= 0, got -3\n"
 
     def test_violations_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -432,3 +464,24 @@ class TestErrorPaths:
         code, _, err = run(capsys, "classify", str(path), "--builtin", "problem-1")
         assert code == 2
 
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command,option", _PAIRS)
+    def test_option_only_where_read(self, capsys, command, option):
+        argv = [command, *_REQUIRED.get(command, []), option, _VALUES[option]]
+        if command in _OPTIONS[option]:
+            assert build_parser().parse_args(argv).command == command
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_help_lists_only_read_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert {opt for opt in _OPTIONS if opt in text} == {opt for opt, cmds in _OPTIONS.items() if command in cmds}
