@@ -6,9 +6,21 @@ nonnegative vector.  "plain" mode takes the anchors themselves as the
 dominating region, "hull" mode their convex hull.  Two tolerances control
 every comparison: eq_tol for componentwise slack, strict_tol for the total
 improvement that makes dominance strict.
+
+signed_distance is the one evaluator of the constructive certificate, the
+oriented distance from points of shape (..., n) to (anchor region) - R^n_+.
+Plain mode is one broadcast min-max.  Hull mode needs no LP: the distance
+LP has an optimal basis of k <= min(m, n) anchors and k tight rows, so
+every basis system with k >= 2 is inverted once per anchor set, applied to
+all points, and the least distance its weights reach is taken; the k = 1
+bases are the plain distance, so hull <= plain.  Anchor sets with more
+than MAX_BASES such bases, a count fixed by (m, n), fall back to one
+lp_solve per point.  The dominance witnesses still come from lp_solve.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -213,18 +225,142 @@ def image_dominates(a: ObjectiveImage, b: ObjectiveImage, mode: str = "plain",
     return dict(zip(a.scenario_ids, found))
 
 
-def signed_distance(y, anchors, mode: str = "plain") -> float:
-    """Signed max-coordinate distance from y to (anchor region) - R^n_+.
+def anchor_matrix(anchors) -> np.ndarray:
+    """The anchors as a non-empty, finite (m, n) array; ValueError otherwise."""
+    z = anchors.values if isinstance(anchors, ObjectiveImage) else np.asarray(anchors, dtype=float)
+    if z.ndim != 2:
+        raise ValueError(f"anchors must be a 2-D array of shape (m, n), got shape {z.shape}")
+    if z.size == 0:
+        raise ValueError("anchor set is empty")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("anchors must be finite")
+    return z
 
-    Negative inside, zero on the boundary.  Plain mode has the closed form
-    min over anchors z of max_i (y_i - z_i); hull mode solves the epigraph LP
-    over convex weights.
+
+def signed_distance(y, anchors, mode: str = "plain"):
+    """Signed max-coordinate distance from points y to (anchor region) - R^n_+.
+
+    y has shape (..., n) and the result shape (...); a single point of shape
+    (n,) gives a float.  Negative inside, zero on the boundary (never -0.0).
+    Each point is evaluated on its own, so its value does not depend on the
+    batch it comes in; points go through in chunks of bounded memory.
+
+    Plain mode is the closed form min over anchors z of max_i (y_i - z_i).
+    Hull mode is the LP min t over (lambda, t) with z^T lambda + t >= y and
+    lambda on the simplex, solved without an LP: see _hull_bases.  Above
+    MAX_BASES bases it falls back to one lp_solve per point.
     """
     _check_mode(mode)
-    y = np.asarray(y, dtype=float)
-    z, _ = _anchor_array(anchors)
-    if mode == "plain":
-        return float((y - z).max(axis=1).min())
+    z = anchor_matrix(anchors)
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim == 0 or ys.shape[-1] != z.shape[1]:
+        raise ValueError(f"points must have last axis {z.shape[1]}, the anchors' n, got shape {ys.shape}")
+    rows = ys.reshape(-1, z.shape[1])
+    center, half, levels = _hull_bases(z) if mode == "hull" else (None, None, [])
+    width = z.shape[0] + sum(len(t) for t, _, _, _ in levels or ())
+    step = max(1, _CHUNK // width)
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], step):
+        chunk = rows[lo:lo + step]
+        dist = (chunk[:, None, :] - z).max(axis=2).min(axis=1)
+        if levels is None:
+            dist = np.minimum(dist, [_hull_distance_lp(p, z) for p in chunk])
+        elif levels:
+            dist = np.minimum(dist, _hull_distance(chunk - center, half, levels))
+        out[lo:lo + step] = dist
+    # + 0.0 turns -0.0 into 0.0, whose sign would depend on the reduction order
+    out = out.reshape(ys.shape[:-1]) + 0.0
+    return float(out) if ys.ndim == 1 else out
+
+
+# Above this many bases with k >= 2 the hull distance solves one LP per point.
+# The count depends on the anchors' shape alone, never on the points.
+MAX_BASES = 4096
+# (point, anchor or basis) pairs evaluated at once: bounds the kernel's memory
+_CHUNK = 1 << 16
+# a basis system whose singular values span more than 1 / _RCOND is singular
+_RCOND = 1e-13
+
+
+def _hull_bases(z) -> tuple:
+    """(center, half, levels): every nonsingular hull-distance basis with k >= 2.
+
+    An optimal vertex of the LP has k anchors A in its support and k tight
+    rows T, k <= min(m, n), and solves [z_{A,T}^T 1; 1^T 0] [lambda; t] =
+    [y_T; 1].  That system depends on the anchors alone, so each one is
+    inverted here, once, in units where the anchors span [-1, 1] about
+    their mid-range center (half is that unit); the singularity test is
+    relative in those units.  Level k holds (T, M, M^-1, Z) over its
+    bases, where a point's (lambda, t) solves M x = [(y_T - center_T) /
+    half; 1] and Z (n, k) has the centered anchors of A as columns.  The
+    k = 1 bases are the plain distance.  Above MAX_BASES bases, levels is
+    None.
+    """
+    m, n = z.shape
+    if sum(math.comb(m, k) * math.comb(n, k) for k in range(2, min(m, n) + 1)) > MAX_BASES:
+        return None, None, None
+    lo, hi = z.min(axis=0) / 2, z.max(axis=0) / 2
+    center = lo + hi
+    half = float((hi - lo).max())
+    levels = []
+    if half == 0.0:  # identical anchors: every k >= 2 system is singular
+        return center, half, levels
+    for k in range(2, min(m, n) + 1):
+        pairs = list(itertools.product(itertools.combinations(range(m), k), itertools.combinations(range(n), k)))
+        a = np.array([p[0] for p in pairs])
+        t = np.array([p[1] for p in pairs])
+        mat = np.ones((len(pairs), k + 1, k + 1))
+        mat[:, :k, :k] = (z[a[:, None, :], t[:, :, None]] - center[t][:, :, None]) / half
+        mat[:, k, k] = 0.0
+        sv = np.linalg.svd(mat, compute_uv=False)
+        ok = sv[:, -1] > _RCOND * sv[:, 0]
+        if ok.any():
+            inv = np.linalg.inv(mat[ok])
+            levels.append((t[ok], mat[ok], inv, np.swapaxes(z[a[ok]] - center, 1, 2)))
+    return center, half, levels
+
+
+def _hull_distance(yc, half, levels) -> np.ndarray:
+    """Min over the bases of the distance reached by their weights, per row of yc.
+
+    yc holds the points less the anchors' center.  A basis' weights are
+    clipped at 0 and renormalized onto the simplex, so every basis gives
+    the distance of a point of the hull, an upper bound on the LP value,
+    and the optimal basis reaches it: no feasibility tolerance is needed.
+    Every step is elementwise in the point's row.  A weight that overflows,
+    for a point vastly farther out than the anchors' spread, drops its
+    basis.
+    """
+    best = np.full(yc.shape[0], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, mat, inv, za in levels:
+            k = t.shape[1]
+            rhs = np.ones((yc.shape[0], t.shape[0], k + 1))
+            rhs[:, :, :k] = yc[:, t] / half
+            sol = _times(inv, rhs)
+            # one step of refinement: an explicit inverse alone loses the
+            # residual on near-singular bases, such as near-duplicate anchors
+            sol += _times(inv, rhs - _times(mat, sol))
+            lam = np.maximum(sol[:, :, :k], 0.0)
+            total = lam[:, :, 0].copy()
+            for j in range(1, k):
+                total += lam[:, :, j]
+            # nan, not 0, where every weight clipped: fmin then drops the basis
+            reach = _times(za, lam) / np.where(total > 0.0, total, np.nan)[:, :, None]
+            best = np.fmin(best, np.fmin.reduce((yc[:, None, :] - reach).max(axis=2), axis=1))
+    return best
+
+
+def _times(mats, vecs) -> np.ndarray:
+    """mats (Q, r, c) times vecs (P, Q, c) as (P, Q, r), one elementwise sum in column order."""
+    out = vecs[:, :, 0, None] * mats[:, :, 0]
+    for c in range(1, mats.shape[2]):
+        out += vecs[:, :, c, None] * mats[:, :, c]
+    return out
+
+
+def _hull_distance_lp(y, z) -> float:
+    """The hull distance of one point by the epigraph LP, for wide anchor sets."""
     m = z.shape[0]
     # variables (lambda, t): minimize t with z^T lambda + t >= y, lambda on the simplex
     c = np.zeros(m + 1)

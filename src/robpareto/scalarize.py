@@ -169,14 +169,14 @@ class SignedDistanceScalarizer(Scalarizer):
     """Signed distance to (anchor set) - R^n_+, the constructive certificate function.
 
     Zero on the anchor generators' upper boundary, negative strictly inside.
-    Strictly increasing in either mode; convex in hull mode only.
+    Strictly increasing in either mode; convex in hull mode only.  The
+    anchors are checked once, here: a non-empty, finite (m, n) array.
+    values is one geometry.signed_distance call over all points, so
+    value(y) equals the matching row of values bit for bit.
     """
 
     def __init__(self, anchors, mode: str = "plain", source: Optional[str] = None):
-        if isinstance(anchors, ObjectiveImage):
-            self.anchors = anchors.values
-        else:
-            self.anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        self.anchors = geometry.anchor_matrix(anchors)
         if mode not in geometry.MODES:
             raise ValueError(f"mode must be one of {geometry.MODES}, got {mode!r}")
         self.mode = mode
@@ -187,9 +187,7 @@ class SignedDistanceScalarizer(Scalarizer):
         self.name = f"construct:anchor={anchor_txt},mode={mode}"
 
     def values(self, ys) -> np.ndarray:
-        ys = self._rows(ys)
-        dist = [geometry.signed_distance(y, self.anchors, self.mode) for y in ys.reshape(-1, self.n)]
-        return np.array(dist, dtype=float).reshape(ys.shape[:-1])
+        return np.asarray(geometry.signed_distance(self._rows(ys), self.anchors, self.mode))
 
 
 def apply(u: Scalarizer, y) -> float:

@@ -2,11 +2,9 @@
 
 Everything here is deliberately naive: brute-force enumeration, dense grids,
 and small closed-form solves.  None of it shares code with the package under
-test beyond numpy, with two exceptions: reference_classify solves its hull
+test beyond numpy, with one exception: reference_classify solves its hull
 LPs with the package's LP kernel, because it pins the scans and witnesses
-built on top of them, down to the last bit; and reference_value evaluates the
-constructive scalarizer through geometry.signed_distance, the one home of its
-closed form and LP.
+built on top of them, down to the last bit.
 """
 import itertools
 from typing import NamedTuple
@@ -104,6 +102,36 @@ def hull_distance_grid(y, anchors, steps: int = 1000) -> float:
     return float((y[None, :] - pts).max(axis=1).min())
 
 
+def hull_distance_enum(y, anchors) -> float:
+    """min t with anchors^T lambda + t >= y, lambda on the simplex, by basis enumeration.
+
+    Per support A of k anchors and k tight rows T (k <= min(m, n)), solve
+    [z_{A,T}^T 1; 1^T 0] [lambda; t] = [y_T; 1]; keep the solutions with
+    lambda >= 0 and every row held, to 1e-13 of the data's scale, and take
+    the least t.  Small n only: the loops are per point and per basis.
+    """
+    y = np.asarray(y, dtype=float)
+    z = np.atleast_2d(np.asarray(anchors, dtype=float))
+    m, n = z.shape
+    tol = 1e-13 * max(np.abs(y).max(), np.abs(z).max())
+    best = np.inf
+    for k in range(1, min(m, n) + 1):
+        for a in itertools.combinations(range(m), k):
+            for t in itertools.combinations(range(n), k):
+                mat = np.ones((k + 1, k + 1))
+                mat[:k, :k] = z[np.ix_(a, t)].T
+                mat[k, k] = 0.0
+                try:
+                    sol = np.linalg.solve(mat, np.append(y[list(t)], 1.0))
+                except np.linalg.LinAlgError:
+                    continue
+                lam, dist = sol[:k], sol[k]
+                held = np.all(z[list(a)].T @ lam + dist >= y - tol)
+                if lam.min() >= -1e-13 and abs(lam.sum() - 1.0) <= 1e-12 and held:
+                    best = min(best, float(dist))
+    return best
+
+
 def polytope_vertices_2d(a, b):
     """Vertices of {s : a s <= b, s >= 0} in the plane by pairwise line solves."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -178,7 +206,8 @@ def reference_value(u, y) -> float:
     Weighted sum: the dot product w @ y.  p-norm: the sum of w_i |y_i - z_i|^p
     over n, then the scalar root np.float64(s) ** (1/p); the weighted max at
     p = inf.  Chebyshev: the max of w_i (y_i - z_i).  Constructive: the
-    signed distance to the anchors.
+    plain signed distance by a loop over the anchors (bit for bit, a zero
+    read as 0.0), the hull one by hull_distance_enum (to rounding only).
     """
     y = np.asarray(y, dtype=float)
     kind = type(u).__name__
@@ -191,9 +220,9 @@ def reference_value(u, y) -> float:
         return float(np.float64((u.w * dev**u.p).sum() / u.n) ** (1.0 / u.p))
     if kind == "Chebyshev":
         return float((u.w * (y - u.ref)).max())
-    from robpareto.geometry import signed_distance
-
-    return signed_distance(y, u.anchors, u.mode)
+    if u.mode == "plain":
+        return min(float((y - z).max()) for z in u.anchors) + 0.0
+    return hull_distance_enum(y, u.anchors)
 
 
 def reference_worst_case(u, scenario_ids, values):

@@ -1,13 +1,16 @@
-"""Acceptance gate: eight end-to-end criteria with pinned tolerances and budgets.
+"""Acceptance gate: nine end-to-end criteria with pinned tolerances and budgets.
 
 Every criterion rebuilds its inputs inside its own timer (seed 20260815),
 asserts its substantive checks, then asserts the wall-clock budget.  One
 PASS/FAIL line per criterion is printed and echoed into the terminal summary.
 """
+import contextlib
+import io
 import time
 
 import numpy as np
 
+from robpareto import cli
 from robpareto.core import (
     AffineFamilyObjectives,
     Instance,
@@ -261,4 +264,19 @@ def test_a8_oracle_equivalence(acceptance_log):
         "A8",
         "hull test matches brute force on 1e4 queries; dual matches vertex enumeration",
         10.0, acceptance_log, body,
+    )
+
+
+def test_a9_phantom_certificates(acceptance_log):
+    def body():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["report", "--phantom", "default"])
+        assert code == 0, out.getvalue()
+        assert out.getvalue() == "phantom:default: certificates and scalarizer bounds verified\n"
+
+    run_criterion(
+        "A9",
+        "report --phantom default: witnesses re-verify, both constructive scalarizers bound every efficient candidate",
+        90.0, acceptance_log, body,
     )

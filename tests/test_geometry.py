@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robpareto import geometry
 from robpareto.core import ObjectiveImage
 from robpareto.geometry import (
     EQ_TOL,
@@ -14,8 +15,10 @@ from robpareto.geometry import (
     is_hyperrectangle,
     signed_distance,
 )
+from robpareto.linprog import lp_solve
 
 from oracles import (
+    hull_distance_enum,
     hull_distance_grid,
     hull_dominated_2d,
     plain_dominated,
@@ -147,8 +150,56 @@ class TestSignedDistance:
         assert abs(d - hull_distance_grid([2, 2], FAN)) < 2e-3
 
     def test_empty_anchors_rejected(self):
-        with pytest.raises(ValueError):
-            signed_distance([0, 0], np.empty((0, 2)), "plain")
+        for mode in ("plain", "hull"):
+            with pytest.raises(ValueError, match="empty"):
+                signed_distance([0, 0], np.empty((0, 2)), mode)
+
+    def test_malformed_inputs_rejected(self):
+        for mode in ("plain", "hull"):
+            for anchors, msg in (([[np.nan, 1.0]], "finite"), ([[1.0, -np.inf]], "finite"),
+                                 ([1.0, 2.0], "2-D"), (np.zeros((1, 1, 2)), "2-D")):
+                with pytest.raises(ValueError, match=msg):
+                    signed_distance([0, 0], anchors, mode)
+            # a point of the wrong length must not broadcast against the anchors
+            for y in ([5], [1, 2, 3], np.zeros((4, 3)), 5.0):
+                with pytest.raises(ValueError, match="last axis 2"):
+                    signed_distance(y, [[1, 2]], mode)
+
+    def test_points_of_any_shape(self):
+        ys = np.arange(24.0).reshape(4, 3, 2) / 4
+        for mode in ("plain", "hull"):
+            got = signed_distance(ys, FAN, mode)
+            assert got.shape == (4, 3)
+            assert got.tolist() == [[signed_distance(y, FAN, mode) for y in row] for row in ys]
+            assert isinstance(signed_distance(ys[0, 0], FAN, mode), float)
+            assert signed_distance(np.empty((0, 2)), FAN, mode).shape == (0,)
+
+    def test_wide_magnitude_anchor_is_its_plain_distance(self):
+        # the tableau LP called this always-feasible problem infeasible
+        y, anchors = [2**-16, 61, 4.5], [[2**-14, 244, 0]]
+        assert signed_distance(y, anchors, "hull") == 4.5 == signed_distance(y, anchors, "plain")
+
+    def test_wide_anchor_sets_fall_back_to_the_lp(self, monkeypatch):
+        # 30 anchors in 3 objectives have 5,365 bases with k >= 2, above MAX_BASES
+        rng = np.random.default_rng(3)
+        anchors = rng.integers(0, 20, size=(30, 3)).astype(float)
+        ys = rng.integers(0, 20, size=(40, 3)).astype(float)
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return lp_solve(problem)
+
+        monkeypatch.setattr(geometry, "lp_solve", counted)
+        by_lp = signed_distance(ys, anchors, "hull")
+        assert len(calls) == len(ys)
+        monkeypatch.setattr(geometry, "MAX_BASES", 10**6)
+        by_bases = signed_distance(ys, anchors, "hull")
+        assert len(calls) == len(ys)
+        assert np.all(np.abs(by_lp - by_bases) <= 1e-12 * 20)
+        assert np.all(by_bases <= signed_distance(ys, anchors, "plain"))
+        for y, want in zip(ys[:2], by_bases[:2]):
+            assert abs(hull_distance_enum(y, anchors) - want) <= 1e-12 * 20
 
     def test_diagonal_translation_shifts_distance(self, rng):
         for mode in ("plain", "hull"):
@@ -262,3 +313,52 @@ def test_strict_partial_order_random_images(rng):
             assert not (ab and ba)
             if ab and bc:
                 assert ac
+
+
+# near-ties and duplicates: anchors and points drawn from a few base values,
+# some nudged by a relative 1e-9, then all scaled by one power of ten
+_BASE = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1.0 + 1e-9, 2.0 - 1e-9, 3.0 + 3e-9])
+
+
+@st.composite
+def _hull_queries(draw):
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(_BASE, min_size=n, max_size=n), min_size=1, max_size=4))
+    anchors = draw(st.lists(st.sampled_from(pool) | st.lists(_BASE, min_size=n, max_size=n),
+                            min_size=1, max_size=6))
+    ys = draw(st.lists(st.lists(_BASE, min_size=n, max_size=n), min_size=1, max_size=4))
+    scale = 10.0 ** draw(st.integers(-9, 9))
+    return np.array(ys) * scale, np.array(anchors) * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_hull_queries())
+def test_hull_distance_matches_enumeration_oracle(query):
+    ys, anchors = query
+    got = signed_distance(ys, anchors, "hull")
+    scale = max(np.abs(ys).max(), np.abs(anchors).max())
+    if anchors.shape[1] <= 3:
+        want = np.array([hull_distance_enum(y, anchors) for y in ys])
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(got <= signed_distance(ys, anchors, "plain"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_hull_queries())
+def test_hull_distance_matches_highs(query):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ys, anchors = query
+    m, n = anchors.shape
+    got = signed_distance(ys, anchors, "hull")
+    # highs' tolerances are absolute, so it solves the LP in units of the data's
+    # scale (the distance is positively homogeneous); at its 1e-10 feasibility
+    # tolerance its optimum can be off by about 1e-10 on near-ties, where the
+    # enumeration oracle above agrees to 1e-12
+    scale = max(np.abs(ys).max(), np.abs(anchors).max()) or 1.0
+    for y, dist in zip(ys / scale, got / scale):
+        res = linprog(np.r_[np.zeros(m), 1.0], A_ub=np.hstack([-anchors.T / scale, -np.ones((n, 1))]), b_ub=-y,
+                      A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
+                      bounds=[(0, None)] * m + [(None, None)], method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0
+        assert abs(res.fun - dist) <= 1e-9
