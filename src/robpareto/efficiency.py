@@ -19,15 +19,16 @@ the hull test falls back to the plain point test within eq_tol wherever its
 exact path finds nothing, so plain dominance implies hull dominance by
 construction.  classify still asserts that nesting on every run.
 
-The scans work on blocks of _BLOCK candidates j at a time.  For each block,
-two necessary conditions for "i dominates j" are built as (block, N) masks
-with columns in search order: the sup-box mask sup_i <= sup_j + eq_tol and
-the max-sum mask maxsum_i < maxsum_j - margin.  The robust and hull scans
-share one pair of masks, the set-valued scan builds its own from the
-filtered images, and the objectivewise inside test is the sup-box mask
-itself.  Each j then walks only its surviving columns, in order, and stops
-at the first dominator.  Every comparison is the one the per-pair tests
-make, so labels and witnesses do not depend on the blocking.
+All four notions run one walk, _BlockScan.first_dominator, which decides
+every pair by image_dominates alone: robust and convex-hull test the image
+itself, set-valued its filtered image, and objectivewise the one-point
+image of its sup corner.  The walk tests candidates i in search order and
+stops at the first dominator.  It sees only the i that pass two necessary
+conditions, built for _BLOCK candidates j at a time as (block, N) masks:
+the sup-box mask sup_i <= sup_j + eq_tol and a max-sum mask.  Both are
+necessary in floating point, so labels and witnesses do not depend on the
+masks or the blocking.  The set-valued scan builds its own masks from the
+filtered images, and objectivewise walks the sup-box mask alone.
 
 On instances marked scenario_hull the listed scenarios generate a convex
 uncertainty set, the attainable image is the hull of the points, and the
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, candidate_label
-from .geometry import EQ_TOL, STRICT_TOL, image_dominates, point_witnesses
+from .geometry import EQ_TOL, STRICT_TOL, dominance_mask, image_dominates
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
@@ -104,11 +105,8 @@ def pareto_filter_max(img: ObjectiveImage, eq_tol: float = EQ_TOL, strict_tol: f
     strict_tol); no point is then safely dominated and the image stays whole.
     """
     vals = img.values
-    # above[i, k]: point k sits above point i
-    above = (vals[None, :, :] >= vals[:, None, :] - eq_tol).all(axis=2) & (
-        (vals[None, :, :] - vals[:, None, :]).max(axis=2) > strict_tol
-    )
-    keep = np.flatnonzero(~above.any(axis=1))
+    # row i, column k: point k sits above point i
+    keep = np.flatnonzero(~dominance_mask(vals, vals, eq_tol, strict_tol).any(axis=1))
     if keep.size == 0:
         keep = np.arange(len(vals))
     ids = tuple(img.scenario_ids[i] for i in keep)
@@ -132,19 +130,11 @@ def _search_order(candidates) -> np.ndarray:
     return np.array([i for _, i in vertices] + rest, dtype=np.intp)
 
 
-def _plain_pair(vals_a: np.ndarray, vals_b: np.ndarray, eq_tol: float, strict_tol: float) -> bool:
-    diff = vals_b[None, :, :] - vals_a[:, None, :]
-    ok = (diff >= -eq_tol).all(axis=2) & (diff.max(axis=2) > strict_tol)
-    return bool(ok.any(axis=1).all())
-
-
 class _BlockScan:
     """First-dominator scan over a list of images, a block of candidates j at a time.
 
-    Any dominator i of j, plain or hull, satisfies sup_i <= sup_j + eq_tol
-    (componentwise max corners) and maxsum_i < maxsum_j - margin (largest
-    point sum).  blocks() yields both masks for _BLOCK candidates j at once,
-    with columns in search order, so first_dominator walks only the
+    blocks() yields the sup-box and max-sum masks for _BLOCK candidates j at
+    once, with columns in search order, so first_dominator walks only the
     survivors and its first hit is the first dominator in search order.
     """
 
@@ -154,14 +144,24 @@ class _BlockScan:
         self.eq_tol = eq_tol
         self.strict_tol = strict_tol
         self.sup = np.array([img.values.max(axis=0) for img in images])
-        self.maxsum = np.array([img.values.sum(axis=1).max() for img in images])
+        maxsum = np.array([img.values.sum(axis=1).max() for img in images])
+        size = np.array([np.abs(img.values).sum(axis=1).max() for img in images])
         n = self.sup.shape[1]
-        # loosest total-sum margin a dominating image must clear in either mode
-        self.margin = strict_tol - (n - 1) * eq_tol
+        # Any dominator i of j has every point y below a point z of j within
+        # eq_tol in each coordinate (the plain test and the hull fallback) or
+        # has sum(y) < maxsum_j (the hull prechecks), so maxsum_i <= maxsum_j
+        # + n * eq_tol in exact arithmetic.  In floating point the sums, the
+        # rounded z + eq_tol and the two sides of the test below add at most
+        # n + 3 roundings of eps / 2 times the magnitude involved: the largest
+        # point sum of absolute values, plus n * eq_tol.  Widening by
+        # (n + 2) * eps times that magnitude covers them with room to spare,
+        # so the mask stays a necessary condition (for nonnegative tolerances).
+        ulps = (n + 2) * np.finfo(float).eps
+        self._low = (maxsum - ulps * size)[order]
+        self._high = maxsum + n * eq_tol + ulps * (size + n * eq_tol)
         self._rank = np.empty(len(order), dtype=np.intp)
         self._rank[order] = np.arange(len(order))
         self._sup_ordered = np.ascontiguousarray(self.sup[order].T)  # (n, N)
-        self._maxsum_ordered = self.maxsum[order]
 
     def blocks(self):
         """Yield (js, box, alive): box is the sup-box mask without j itself,
@@ -174,50 +174,17 @@ class _BlockScan:
             for c in range(1, bound.shape[1]):
                 box &= self._sup_ordered[c] <= bound[:, c, None]
             box[np.arange(len(js)), self._rank[js]] = False
-            alive = box & (self._maxsum_ordered < (self.maxsum[js] - self.margin)[:, None])
+            alive = box & (self._low <= self._high[js][:, None])
             yield js, box, alive
 
-    def first_dominator(self, j: int, alive: np.ndarray, mode: str) -> Optional[tuple]:
-        """(i, witnesses) for the first surviving i that dominates j, or None."""
-        b = self.images[j]
+    def first_dominator(self, b: ObjectiveImage, alive: np.ndarray, mode: str) -> Optional[tuple]:
+        """(i, witnesses) for the first surviving i whose image dominates b, or None."""
         for k in np.flatnonzero(alive):
-            a = self.images[self.order[k]]
-            if mode == "plain" and not _plain_pair(a.values, b.values, self.eq_tol, self.strict_tol):
-                continue
-            w = image_dominates(a, b, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
+            i = int(self.order[k])
+            w = image_dominates(self.images[i], b, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
             if w is not None:
-                return int(self.order[k]), w
+                return i, w
         return None
-
-
-def _objectivewise_owners(scan: _BlockScan, vals: np.ndarray, js, box) -> list:
-    """Objectivewise dominator of each j in the block, or None.
-
-    That is the first candidate in search order whose every point lies
-    inside j's sup corner within eq_tol and below it by a gap > strict_tol.
-    The sup-box mask is the inside test, since max(v) <= c holds iff
-    all(v <= c); the gap test runs on the first survivor of every row at
-    once, and walks on only where that one fails.
-    """
-    corners = scan.sup[js]
-    first = scan.order[box.argmax(axis=1)]
-    first_gapped = _gapped_below(corners[:, None, :], vals[first], scan.strict_tol)
-    owners = []
-    for b in range(len(js)):
-        survivors = scan.order[np.flatnonzero(box[b])]
-        if survivors.size == 0:
-            owners.append(None)
-        elif first_gapped[b]:
-            owners.append(int(survivors[0]))
-        else:
-            owners.append(next((int(i) for i in survivors[1:]
-                                if _gapped_below(corners[b], vals[i], scan.strict_tol)), None))
-    return owners
-
-
-def _gapped_below(corner, v, strict_tol: float):
-    """Every point of v (last two axes) lies below corner by a gap > strict_tol."""
-    return ((corner - v).max(axis=-1) > strict_tol).all(axis=-1)
 
 
 def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
@@ -234,22 +201,18 @@ def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STR
 
     results = []
     for (js, box, alive), (_, _, set_alive) in zip(scan.blocks(), set_scan.blocks()):
-        owners = _objectivewise_owners(scan, vals, js, box)
         for b, j in enumerate(js):
-            robust = scan.first_dominator(j, alive[b], base_mode)
+            robust = scan.first_dominator(images[j], alive[b], base_mode)
             # with scenario_hull both scans run in hull mode and agree
-            hull = robust if base_mode == "hull" else scan.first_dominator(j, alive[b], "hull")
+            hull = robust if base_mode == "hull" else scan.first_dominator(images[j], alive[b], "hull")
             if hull is None and robust is not None:
                 raise RuntimeError(
                     f"invariant violated: candidate {candidate_label(cands[j])} is "
                     "convex-hull efficient but not robust efficient"
                 )
-            objectivewise = None
-            if owners[b] is not None:
-                found = point_witnesses(vals[owners[b]], scan.sup[j][None, :], ["sup-corner"],
-                                        eq_tol=eq_tol, strict_tol=strict_tol)
-                objectivewise = owners[b], dict(zip(images[owners[b]].scenario_ids, found))
-            set_valued = set_scan.first_dominator(j, set_alive[b], base_mode)
+            corner = ObjectiveImage(cands[j], ("sup-corner",), scan.sup[j][None])
+            objectivewise = scan.first_dominator(corner, box[b], "plain")
+            set_valued = set_scan.first_dominator(set_scan.images[j], set_alive[b], base_mode)
             hits = {"robust": robust, "convex_hull": hull,
                     "objectivewise": objectivewise, "set_valued": set_valued}
             results.append(CandidateResult(
@@ -274,4 +237,4 @@ def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
                 for c, v in zip(cands, instance.image_tensor())]
     scan = _BlockScan(filtered, order, eq_tol, strict_tol)
     return [cands[j] for js, _, alive in scan.blocks() for b, j in enumerate(js)
-            if scan.first_dominator(j, alive[b], mode) is None]
+            if scan.first_dominator(filtered[j], alive[b], mode) is None]

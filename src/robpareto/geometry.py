@@ -63,23 +63,15 @@ class DominanceWitness:
         return float(np.maximum(c - y, 0.0).sum()) > strict_tol
 
 
-def _anchor_array(anchors) -> tuple:
-    if isinstance(anchors, ObjectiveImage):
-        return anchors.values, list(anchors.scenario_ids)
-    arr = np.atleast_2d(np.asarray(anchors, dtype=float))
-    if arr.shape[0] == 0:
-        raise ValueError("anchor set is empty")
-    return arr, [str(i) for i in range(arr.shape[0])]
+def dominance_mask(y, z, eq_tol: float, strict_tol: float) -> np.ndarray:
+    """(len(y), len(z)) mask of "z[k] dominates y[r]": y[r] <= z[k] + eq_tol in
+    every coordinate and (z[k] - y[r]).max() > strict_tol.
 
-
-def _gapped(y, z, strict_tol: float) -> np.ndarray:
-    """(len(y), len(z)) mask of (z[k] - y[r]).max() > strict_tol."""
-    return (z[None, :, :] - y[:, None, :]).max(axis=2) > strict_tol
-
-
-def _below(y, z, eq_tol: float) -> np.ndarray:
-    """(len(y), len(z)) mask of y[r] <= z[k] + eq_tol in every coordinate."""
-    return (y[:, None, :] <= z[None, :, :] + eq_tol).all(axis=2)
+    The one place the pointwise test is written; every plain test, the
+    tolerant hull fallback and the Pareto filter call it.
+    """
+    below = (y[:, None, :] <= z[None, :, :] + eq_tol).all(axis=2)
+    return below & ((z[None, :, :] - y[:, None, :]).max(axis=2) > strict_tol)
 
 
 def _first_hit_witnesses(y, z, ids, hits) -> list:
@@ -97,7 +89,7 @@ def point_witnesses(y, z, ids, eq_tol: float = EQ_TOL, strict_tol: float = STRIC
     strict_tol, as dominated_by_point_set would give it; None if some row
     has no such anchor.
     """
-    hits = _below(y, z, eq_tol) & _gapped(y, z, strict_tol)
+    hits = dominance_mask(y, z, eq_tol, strict_tol)
     if not hits.any(axis=1).all():
         return None
     return _first_hit_witnesses(y, z, ids, hits)
@@ -114,12 +106,11 @@ def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[lis
     # exact prechecks: the box bound and the total-sum bound are necessary
     ysum = y.sum(axis=1)
     pre = ~(y > z.max(axis=0) + eq_tol).any(axis=1) & (z.sum(axis=1).max() - ysum > strict_tol)
-    gapped = _gapped(y, z, strict_tol)
-    tolerant = _below(y, z, eq_tol) & gapped
+    tolerant = dominance_mask(y, z, eq_tol, strict_tol)
     has_tolerant = tolerant.any(axis=1)
     if not (pre | has_tolerant).all():
         return None
-    exact = _below(y, z, 0.0) & gapped & pre[:, None]
+    exact = dominance_mask(y, z, 0.0, strict_tol) & pre[:, None]
     has_exact = exact.any(axis=1)
     witnesses = _first_hit_witnesses(y, z, ids, np.where(has_exact[:, None], exact, tolerant))
     for w in witnesses:
@@ -135,7 +126,7 @@ def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[lis
 
 def _lp_witness(y, ysum, z, ids, strict_tol: float) -> Optional[DominanceWitness]:
     # solver roundoff on c is ~1e-15, so the certificate re-verifies at eq_tol
-    lam = _hull_improvement(y, z, 0.0)
+    lam = _hull_improvement(y, z)
     if lam is None:
         return None
     c = z.T @ lam
@@ -147,11 +138,18 @@ def _lp_witness(y, ysum, z, ids, strict_tol: float) -> Optional[DominanceWitness
 
 
 def _single_point(y, anchors, anchor_ids) -> tuple:
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    z, ids = _anchor_array(anchors)
+    """(y as one row, anchors, anchor ids) after the checks signed_distance makes."""
+    z = anchor_matrix(anchors)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (z.shape[1],):
+        raise ValueError(f"y must have shape ({z.shape[1]},), the anchors' n, got shape {y.shape}")
     if anchor_ids is not None:
         ids = list(anchor_ids)
-    return y, z, ids
+    elif isinstance(anchors, ObjectiveImage):
+        ids = list(anchors.scenario_ids)
+    else:
+        ids = [str(i) for i in range(z.shape[0])]
+    return y[None, :], z, ids
 
 
 def dominated_by_point_set(
@@ -191,13 +189,13 @@ def dominated_by_hull(
     return None if found is None else found[0]
 
 
-def _hull_improvement(y, z, slack) -> Optional[np.ndarray]:
-    """Argmax of sum(c) over conv(z) with c >= y - slack, or None if infeasible."""
+def _hull_improvement(y, z) -> Optional[np.ndarray]:
+    """Argmax of sum(c) over conv(z) with c >= y, or None if infeasible."""
     m = z.shape[0]
     problem = LpProblem(
         c=-z.sum(axis=1),
         a_ub=-z.T,
-        b_ub=-(y - slack),
+        b_ub=-y,
         a_eq=np.ones((1, m)),
         b_eq=np.array([1.0]),
     )

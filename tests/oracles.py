@@ -127,7 +127,11 @@ def hull_distance_enum(y, anchors) -> float:
                     continue
                 lam, dist = sol[:k], sol[k]
                 held = np.all(z[list(a)].T @ lam + dist >= y - tol)
-                if lam.min() >= -1e-13 and abs(lam.sum() - 1.0) <= 1e-12 and held:
+                # the last row makes the weights sum to 1 up to the solve's
+                # rounding, which grows with the data's scale (1.2e-12 for
+                # z = [[0, 1.4765625]], y = [0, 12232]); 1e-9 drops only
+                # near-singular solves
+                if lam.min() >= -1e-13 and abs(lam.sum() - 1.0) <= 1e-9 and held:
                     best = min(best, float(dist))
     return best
 
@@ -181,7 +185,7 @@ def pareto_max_filter(points, eq_tol: float = 1e-9, strict_tol: float = 1e-9):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     keep = []
     for i in range(pts.shape[0]):
-        if not any(np.all(pts[k] >= pts[i] - eq_tol) and (pts[k] - pts[i]).max() > strict_tol
+        if not any(np.all(pts[i] <= pts[k] + eq_tol) and (pts[k] - pts[i]).max() > strict_tol
                    for k in range(pts.shape[0]) if k != i):
             keep.append(i)
     return keep or list(range(pts.shape[0]))
@@ -298,7 +302,7 @@ def _ref_hull_lp(y, z, ids, eq_tol, strict_tol):
     if w is not None:
         return w._replace(weights={w.anchor_id: 1.0})
     m = z.shape[0]
-    res = lp_solve(LpProblem(c=-z.sum(axis=1), a_ub=-z.T, b_ub=-(y - 0.0),
+    res = lp_solve(LpProblem(c=-z.sum(axis=1), a_ub=-z.T, b_ub=-y,
                              a_eq=np.ones((1, m)), b_eq=np.array([1.0])))
     if res.status != "optimal":
         return None
@@ -338,21 +342,12 @@ def _ref_search_order(cands):
     return first + [i for i in range(len(cands)) if i not in first]
 
 
-def _ref_scan(images, order, j, mode, eq_tol, strict_tol):
-    """(i, witnesses) of the first i in order whose image dominates image j."""
-    vals = [v for _, v in images]
-    sup = np.array([v.max(axis=0) for v in vals])
-    maxsum = np.array([v.sum(axis=1).max() for v in vals])
-    margin = strict_tol - (sup.shape[1] - 1) * eq_tol
+def _ref_scan(images, order, j, target, mode, eq_tol, strict_tol):
+    """(i, witnesses) of the first i != j in order whose image dominates target."""
     for i in order:
-        if i == j or not (np.all(sup[i] <= sup[j] + eq_tol) and maxsum[i] < maxsum[j] - margin):
+        if i == j:
             continue
-        if mode == "plain":
-            diff = vals[j][None, :, :] - vals[i][:, None, :]
-            gate = np.all(diff >= -eq_tol, axis=2) & (diff.max(axis=2) > strict_tol)
-            if not gate.any(axis=1).all():
-                continue
-        w = _ref_image_dominates(images[i][0], vals[i], images[j][0], vals[j], mode, eq_tol, strict_tol)
+        w = _ref_image_dominates(*images[i], *target, mode, eq_tol, strict_tol)
         if w is not None:
             return i, w
     return None
@@ -378,16 +373,13 @@ def reference_classify(instance, eq_tol: float = 1e-9, strict_tol: float = 1e-9)
         doms = {}
         for notion, imgs, mode in (("robust", images, base), ("convex_hull", images, "hull"),
                                    ("set_valued", filtered, base)):
-            hit = _ref_scan(imgs, order, j, mode, eq_tol, strict_tol)
+            hit = _ref_scan(imgs, order, j, imgs[j], mode, eq_tol, strict_tol)
             if hit is not None:
                 doms[notion] = hit
-        corner = images[j][1].max(axis=0)
-        for i in order:
-            v = images[i][1]
-            if i != j and np.all(v <= corner + eq_tol) and np.all((corner - v).max(axis=1) > strict_tol):
-                doms["objectivewise"] = i, _ref_image_dominates(
-                    images[i][0], v, ["sup-corner"], corner[None, :], "plain", eq_tol, strict_tol)
-                break
+        corner = (["sup-corner"], images[j][1].max(axis=0)[None, :])
+        hit = _ref_scan(images, order, j, corner, "plain", eq_tol, strict_tol)
+        if hit is not None:
+            doms["objectivewise"] = hit
         flags = tuple(k not in doms for k in ("robust", "convex_hull", "objectivewise", "set_valued"))
         out.append((flags, doms))
     return out

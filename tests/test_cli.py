@@ -144,6 +144,30 @@ class TestClassify:
         assert code == 0, err
         assert parse_csv(out)["x"]["set_valued_minimizer"] == "true"
 
+    # near-ties that image_dominates calls dominated: every notion must name
+    # the dominator, and report's re-checks must agree
+    _NEAR_TIE_FILES = {
+        "b": {"n": 2, "scenarios": {"ids": ["1"]},
+              "objectives": {"table": {"a": {"1": [1.000000001, 0]}, "b": {"1": [1, 1]}}},
+              "candidates": {"explicit": ["a", "b"]}},
+        "c0": {"n": 1, "scenarios": {"ids": ["1", "2", "3"]},
+               "objectives": {"table": {"c0": {"1": [3.0000000015], "2": [0], "3": [0]},
+                                        "c1": {"1": [0], "2": [3.0000000005], "3": [0]}}},
+               "candidates": {"explicit": ["c0", "c1"]}},
+    }
+
+    @pytest.mark.parametrize("label, dominator", [("b", "a"), ("c0", "c1")])
+    def test_near_tie_dominators_reach_every_notion(self, capsys, tmp_path, label, dominator):
+        path = tmp_path / "near_tie.json"
+        path.write_text(json.dumps(self._NEAR_TIE_FILES[label]))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 0, err
+        line = next(line for line in out.splitlines() if line.startswith(label + ","))
+        assert line == (f"{label},false,false,false,false,robust:{dominator}; convex_hull:{dominator}; "
+                        f"objectivewise:{dominator}; set_valued:{dominator}")
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 0, out + err
+
     def test_emit_writes_csv_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "runs"
         code, out, _ = run(

@@ -1,7 +1,7 @@
 """Candidate classification across the four efficiency notions."""
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from robpareto.core import (
     AffineFamilyObjectives,
@@ -12,7 +12,8 @@ from robpareto.core import (
     SimplexCandidates,
     TableObjectives,
 )
-from robpareto.efficiency import classify, pareto_filter_max, set_valued_minimizers
+from robpareto.efficiency import _BlockScan, classify, pareto_filter_max, set_valued_minimizers
+from robpareto.geometry import image_dominates
 from robpareto.linprog import SolverStalledError
 from robpareto.testing import random_hyperrectangle_values, random_instance
 
@@ -263,6 +264,42 @@ def _lattice_instances(draw):
         candidates=SimplexCandidates(dim=dim, step=draw(st.sampled_from([0.5, 0.25]))),
         scenario_hull=draw(st.booleans()),
     )
+
+
+@st.composite
+def _near_tie_images(draw):
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 3))
+    # at 1e6 to 1e8 one unit in the last place is about eq_tol
+    scale = 10.0 ** draw(st.integers(0, 8))
+
+    def image():
+        return [[draw(st.integers(-3, 3)) * scale + draw(_NEAR_TIE) for _ in range(n)] for _ in range(count)]
+
+    return [image() for _ in range(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_near_tie_images())
+# z + eq_tol rounds up by one ulp (1.86e-9) here, so the first image
+# dominates the second with a point sum 3.7e-9 above its sum plus n * eq_tol
+@example(values=[[[8458770.000000002, 11715904.000000004, 10527679.0]],
+                 [[8458770.0, 11715904.000000002, 10527679.000000002]]])
+def test_block_masks_keep_every_dominator(values):
+    # the masks are necessary conditions: no pair image_dominates accepts is pruned
+    sids = tuple(f"s{k}" for k in range(len(values[0])))
+    images = [ObjectiveImage(f"c{i}", sids, v) for i, v in enumerate(values)]
+    order = np.arange(len(images))[::-1]
+    scan = _BlockScan(images, order, 1e-9, 1e-9)
+    for js, box, alive in scan.blocks():
+        for b, j in enumerate(js):
+            for k, i in enumerate(order):
+                for mode in ("plain", "hull"):
+                    try:
+                        dominates = image_dominates(images[i], images[j], mode) is not None
+                    except SolverStalledError:
+                        continue
+                    assert not dominates or (box[b, k] and alive[b, k]), (i, j, mode)
 
 
 def _assert_matches_reference(inst):

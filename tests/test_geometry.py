@@ -57,6 +57,22 @@ class TestPointDominance:
             dominated_by_point_set([0, 0], np.empty((0, 2)))
 
 
+@pytest.mark.parametrize("test", [dominated_by_point_set, dominated_by_hull])
+class TestDominanceInputs:
+    # the checks signed_distance makes: no broadcasting, no NaN, anchors as (m, n)
+    def test_length_mismatch_rejected(self, test):
+        with pytest.raises(ValueError, match="shape \\(2,\\)"):
+            test([0], [[1, 2]])
+
+    def test_nan_anchor_rejected(self, test):
+        with pytest.raises(ValueError, match="finite"):
+            test([0, 0], [[np.nan, 5]])
+
+    def test_one_dimensional_anchors_rejected(self, test):
+        with pytest.raises(ValueError, match="2-D"):
+            test([0, 0], [5, 5])
+
+
 class TestHullDominance:
     def test_midpoint_certificate(self):
         w = dominated_by_hull([2, 2], FAN, ["1", "2", "3"])
@@ -313,6 +329,12 @@ def test_strict_partial_order_random_images(rng):
             assert not (ab and ba)
             if ab and bc:
                 assert ac
+
+
+def test_enumeration_oracle_tolerates_the_solve_rounding():
+    # the basis solve's weights sum to 1 only within 1.2e-12 at this scale
+    y, anchors = [0.0, 12232.0], [[0.0, 1.4765625]]
+    assert abs(hull_distance_enum(y, anchors) - signed_distance(y, anchors, "hull")) <= 1e-12 * 12232
 
 
 # near-ties and duplicates: anchors and points drawn from a few base values,
