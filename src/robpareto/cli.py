@@ -39,7 +39,7 @@ from .core import (
     with_step,
 )
 from .efficiency import EfficiencyReport, classify
-from .geometry import EQ_TOL, STRICT_TOL
+from .geometry import EQ_TOL, STRICT_TOL, check_tolerances
 from .phantom import PhantomConfig, generate as generate_phantom
 from .scalarize import (
     Chebyshev,
@@ -178,6 +178,14 @@ def _load_instance(args) -> tuple:
         except ValueError as exc:
             raise CliError(EXIT_INPUT, f"--step {args.step} on {source}: {exc}") from None
     return inst, source
+
+
+def _check_tolerances(args) -> None:
+    """--eq-tol and --strict-tol as an input error, before any work."""
+    try:
+        check_tolerances(args.eq_tol, args.strict_tol)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from None
 
 
 def _parse_candidate(text: str, instance: Instance):
@@ -389,6 +397,7 @@ class Run:
 
 
 def cmd_classify(args) -> Run:
+    _check_tolerances(args)
     instance, source = _load_instance(args)
     report = classify(instance, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
     text = classification_csv(report)
@@ -483,6 +492,7 @@ def cmd_phantom(args) -> Run:
 
 
 def cmd_report(args) -> Run:
+    _check_tolerances(args)
     if args.random is not None and args.random < 0:
         raise CliError(EXIT_INPUT, f"--random needs a count >= 0, got {args.random}")
     lines = []

@@ -19,16 +19,25 @@ the hull test falls back to the plain point test within eq_tol wherever its
 exact path finds nothing, so plain dominance implies hull dominance by
 construction.  classify still asserts that nesting on every run.
 
-All four notions run one walk, _BlockScan.first_dominator, which decides
-every pair by image_dominates alone: robust and convex-hull test the image
+All four notions run one scan, _BlockScan.first_dominators, which decides
+every pair as image_dominates does: robust and convex-hull test the image
 itself, set-valued its filtered image, and objectivewise the one-point
-image of its sup corner.  The walk tests candidates i in search order and
+image of its sup corner.  The scan tests candidates i in search order and
 stops at the first dominator.  It sees only the i that pass two necessary
 conditions, built for _BLOCK candidates j at a time as (block, N) masks:
 the sup-box mask sup_i <= sup_j + eq_tol and a max-sum mask.  Both are
 necessary in floating point, so labels and witnesses do not depend on the
 masks or the blocking.  The set-valued scan builds its own masks from the
-filtered images, and objectivewise walks the sup-box mask alone.
+filtered images, and objectivewise uses the sup-box mask alone.
+
+The first surviving pair of all rows of a block is decided at once, by one
+geometry.decide_pairs call over stacked arrays: the image tensor, the
+filtered images padded to one (N, S, n) array, or the (N, 1, n) sup
+corners.  Witnesses are built only for its hits.  A hull pair that some
+point leaves to the LP is open and goes to image_dominates; a row whose
+first pair missed walks on, one image_dominates call per pair.  A walk
+stops after about one pair on the phantom, so nearly every pair is decided
+in the batch.
 
 On instances marked scenario_hull the listed scenarios generate a convex
 uncertainty set, the attainable image is the hull of the points, and the
@@ -42,11 +51,13 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, candidate_label
-from .geometry import EQ_TOL, STRICT_TOL, dominance_mask, image_dominates
+from .geometry import (EQ_TOL, HIT, OPEN, STRICT_TOL, check_tolerances, decide_pairs, dominance_mask,
+                       image_dominates, pair_witnesses)
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
 LABELS = ("robust", "convex_hull", "objectivewise", "set_valued")
+_CORNER_IDS = ("sup-corner",)
 
 
 @dataclass(eq=False)
@@ -131,22 +142,25 @@ def _search_order(candidates) -> np.ndarray:
 
 
 class _BlockScan:
-    """First-dominator scan over a list of images, a block of candidates j at a time.
+    """First-dominator scan over a stack of images, a block of candidates j at a time.
 
-    blocks() yields the sup-box and max-sum masks for _BLOCK candidates j at
-    once, with columns in search order, so first_dominator walks only the
-    survivors and its first hit is the first dominator in search order.
+    stack is (N, S, n) and images[i] the ObjectiveImage of row i; a row may
+    repeat its first point as padding (see _padded_stack).  blocks() yields
+    the sup-box and max-sum masks for _BLOCK candidates j at once, with
+    columns in search order, so a scan over the survivors finds the first
+    dominator in search order.
     """
 
-    def __init__(self, images, order: np.ndarray, eq_tol: float, strict_tol: float):
+    def __init__(self, images, stack: np.ndarray, order: np.ndarray, eq_tol: float, strict_tol: float):
         self.images = images
+        self.stack = stack
         self.order = order
         self.eq_tol = eq_tol
         self.strict_tol = strict_tol
-        self.sup = np.array([img.values.max(axis=0) for img in images])
-        maxsum = np.array([img.values.sum(axis=1).max() for img in images])
-        size = np.array([np.abs(img.values).sum(axis=1).max() for img in images])
-        n = self.sup.shape[1]
+        self.sup = stack.max(axis=1)
+        maxsum = stack.sum(axis=2).max(axis=1)
+        size = np.abs(stack).sum(axis=2).max(axis=1)
+        n = stack.shape[2]
         # Any dominator i of j has every point y below a point z of j within
         # eq_tol in each coordinate (the plain test and the hull fallback) or
         # has sum(y) < maxsum_j (the hull prechecks), so maxsum_i <= maxsum_j
@@ -177,52 +191,102 @@ class _BlockScan:
             alive = box & (self._low <= self._high[js][:, None])
             yield js, box, alive
 
-    def first_dominator(self, b: ObjectiveImage, alive: np.ndarray, mode: str) -> Optional[tuple]:
-        """(i, witnesses) for the first surviving i whose image dominates b, or None."""
-        for k in np.flatnonzero(alive):
+    def first_dominators(self, js, mask: np.ndarray, mode: str, corners: bool = False) -> list:
+        """Per row b of mask: (i, witnesses) for the first surviving i whose
+        image dominates candidate js[b]'s image (or, with corners, its
+        one-point sup corner), or None.
+
+        One decide_pairs call decides the first survivor of every row, and
+        witnesses are built only for its hits.  A row whose first pair stayed
+        open walks from that pair, and one whose first pair missed from the
+        next survivor, one image_dominates call per pair.
+        """
+        out = [None] * len(js)
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size == 0:
+            return out
+        ks = mask[rows].argmax(axis=1)
+        doms = self.order[ks]
+        targets = self.sup[:, None, :] if corners else self.stack
+        found = decide_pairs(self.stack[doms], targets[js[rows]], mode, self.eq_tol, self.strict_tol)
+        for p, (b, k, i) in enumerate(zip(rows.tolist(), ks.tolist(), doms.tolist())):
+            j = js[b]
+            if found.state[p] == HIT:
+                ids = _CORNER_IDS if corners else self.images[j].scenario_ids
+                witnesses = pair_witnesses(targets[j], ids, found.anchor[p], found.gap[p], mode)
+                out[b] = i, dict(zip(self.images[i].scenario_ids, witnesses))
+                continue
+            target = ObjectiveImage(self.images[j].candidate, _CORNER_IDS, self.sup[j][None]) if corners \
+                else self.images[j]
+            out[b] = self._walk(target, mask[b], k if found.state[p] == OPEN else k + 1, mode)
+        return out
+
+    def _walk(self, target: ObjectiveImage, alive: np.ndarray, start: int, mode: str) -> Optional[tuple]:
+        """(i, witnesses) for the first surviving i from column start on whose
+        image dominates target, or None."""
+        for k in np.flatnonzero(alive[start:]) + start:
             i = int(self.order[k])
-            w = image_dominates(self.images[i], b, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
+            w = image_dominates(self.images[i], target, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
             if w is not None:
                 return i, w
         return None
 
 
+def _padded_stack(images) -> np.ndarray:
+    """The images' values as one read-only (N, longest, n) array, each short
+    image padded by repeating its first point.
+
+    A repeated point of a dominator is decided as its original, and a
+    repeated anchor comes after its original, so padding changes no pair
+    decision and no first hit; sup, max-sum and size are unchanged too.
+    """
+    counts = np.array([len(img) for img in images])
+    flat = np.concatenate([img.values for img in images])
+    pos = np.arange(counts.max())
+    stack = flat[(np.cumsum(counts) - counts)[:, None] + np.where(pos < counts[:, None], pos, 0)]
+    stack.flags.writeable = False
+    return stack
+
+
+def _filtered_scan(images, order: np.ndarray, eq_tol: float, strict_tol: float) -> _BlockScan:
+    """Scan over the Pareto-filtered images, stacked by _padded_stack."""
+    filtered = [pareto_filter_max(img, eq_tol, strict_tol) for img in images]
+    return _BlockScan(filtered, _padded_stack(filtered), order, eq_tol, strict_tol)
+
+
 def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
     """Label every candidate, with re-verifiable dominator certificates."""
+    check_tolerances(eq_tol, strict_tol)
     cands = instance.candidate_list()
     vals = instance.image_tensor()
     images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, vals)]
     order = _search_order(cands)
     base_mode = "hull" if instance.scenario_hull else "plain"
 
-    scan = _BlockScan(images, order, eq_tol, strict_tol)
-    set_scan = _BlockScan([pareto_filter_max(img, eq_tol, strict_tol) for img in images],
-                            order, eq_tol, strict_tol)
+    scan = _BlockScan(images, vals, order, eq_tol, strict_tol)
+    set_scan = _filtered_scan(images, order, eq_tol, strict_tol)
 
     results = []
     for (js, box, alive), (_, _, set_alive) in zip(scan.blocks(), set_scan.blocks()):
-        for b, j in enumerate(js):
-            robust = scan.first_dominator(images[j], alive[b], base_mode)
-            # with scenario_hull both scans run in hull mode and agree
-            hull = robust if base_mode == "hull" else scan.first_dominator(images[j], alive[b], "hull")
-            if hull is None and robust is not None:
+        robust = scan.first_dominators(js, alive, base_mode)
+        # with scenario_hull both scans run in hull mode and agree
+        hull = robust if base_mode == "hull" else scan.first_dominators(js, alive, "hull")
+        objectivewise = scan.first_dominators(js, box, "plain", corners=True)
+        set_valued = set_scan.first_dominators(js, set_alive, base_mode)
+        for j, *hit in zip(js, robust, hull, objectivewise, set_valued):
+            hits = dict(zip(LABELS, hit))
+            if hits["convex_hull"] is None and hits["robust"] is not None:
                 raise RuntimeError(
                     f"invariant violated: candidate {candidate_label(cands[j])} is "
                     "convex-hull efficient but not robust efficient"
                 )
-            corner = ObjectiveImage(cands[j], ("sup-corner",), scan.sup[j][None])
-            objectivewise = scan.first_dominator(corner, box[b], "plain")
-            set_valued = set_scan.first_dominator(set_scan.images[j], set_alive[b], base_mode)
-            hits = {"robust": robust, "convex_hull": hull,
-                    "objectivewise": objectivewise, "set_valued": set_valued}
             results.append(CandidateResult(
                 candidate=cands[j],
-                robust_efficient=robust is None,
-                convex_hull_efficient=hull is None,
-                objectivewise_efficient=objectivewise is None,
-                set_valued_minimizer=set_valued is None,
-                dominators={kind: Dominator(cands[hit[0]], hit[1])
-                            for kind, hit in hits.items() if hit is not None},
+                robust_efficient=hits["robust"] is None,
+                convex_hull_efficient=hits["convex_hull"] is None,
+                objectivewise_efficient=hits["objectivewise"] is None,
+                set_valued_minimizer=hits["set_valued"] is None,
+                dominators={kind: Dominator(cands[h[0]], h[1]) for kind, h in hits.items() if h is not None},
             ))
     return EfficiencyReport(instance=instance, results=results)
 
@@ -230,11 +294,10 @@ def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STR
 def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
                           strict_tol: float = STRICT_TOL) -> list:
     """Candidates whose filtered image is minimal under the set order."""
+    check_tolerances(eq_tol, strict_tol)
     cands = instance.candidate_list()
-    order = _search_order(cands)
     mode = "hull" if instance.scenario_hull else "plain"
-    filtered = [pareto_filter_max(ObjectiveImage(c, instance.scenarios.ids, v), eq_tol, strict_tol)
-                for c, v in zip(cands, instance.image_tensor())]
-    scan = _BlockScan(filtered, order, eq_tol, strict_tol)
-    return [cands[j] for js, _, alive in scan.blocks() for b, j in enumerate(js)
-            if scan.first_dominator(filtered[j], alive[b], mode) is None]
+    images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, instance.image_tensor())]
+    scan = _filtered_scan(images, _search_order(cands), eq_tol, strict_tol)
+    return [cands[j] for js, _, alive in scan.blocks()
+            for j, hit in zip(js, scan.first_dominators(js, alive, mode)) if hit is None]

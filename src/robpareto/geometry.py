@@ -5,7 +5,14 @@ anchor set when it can be written as (anchor region) minus a nonzero
 nonnegative vector.  "plain" mode takes the anchors themselves as the
 dominating region, "hull" mode their convex hull.  Two tolerances control
 every comparison: eq_tol for componentwise slack, strict_tol for the total
-improvement that makes dominance strict.
+improvement that makes dominance strict.  Both must be finite and
+nonnegative (check_tolerances).
+
+dominance_mask is the one place the pointwise test is written.
+decide_pairs runs it over stacked image pairs: each pair is a hit, a miss,
+or, in hull mode, open when some point only the LP can settle.  The plain
+and hull witness tests of image_dominates are its one-pair calls, plus the
+LP for the points an open pair leaves.
 
 signed_distance is the one evaluator of the constructive certificate, the
 oriented distance from points of shape (..., n) to (anchor region) - R^n_+.
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,23 +70,94 @@ class DominanceWitness:
         return float(np.maximum(c - y, 0.0).sum()) > strict_tol
 
 
-def dominance_mask(y, z, eq_tol: float, strict_tol: float) -> np.ndarray:
-    """(len(y), len(z)) mask of "z[k] dominates y[r]": y[r] <= z[k] + eq_tol in
-    every coordinate and (z[k] - y[r]).max() > strict_tol.
+def check_tolerances(eq_tol: float, strict_tol: float) -> None:
+    """ValueError unless both tolerances are finite and nonnegative.
 
-    The one place the pointwise test is written; every plain test, the
-    tolerant hull fallback and the Pareto filter call it.
+    The masks, the hull prechecks and the max-sum mask's rounding allowance
+    hold only for such tolerances; a nan one makes every comparison false.
     """
-    below = (y[:, None, :] <= z[None, :, :] + eq_tol).all(axis=2)
-    return below & ((z[None, :, :] - y[:, None, :]).max(axis=2) > strict_tol)
+    for name, value in (("eq_tol", eq_tol), ("strict_tol", strict_tol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-def _first_hit_witnesses(y, z, ids, hits) -> list:
-    """Witness of each row of y by its first hit anchor."""
-    first = hits.argmax(axis=1)
-    gaps = np.maximum(z[first] - y, 0.0).sum(axis=1)
-    return [DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k])
-            for k, g in zip(first.tolist(), gaps.tolist())]
+def dominance_mask(y, z, eq_tol: float, strict_tol: float) -> np.ndarray:
+    """(..., S_y, S_z) mask of "z[..., k, :] dominates y[..., r, :]": y[r] <=
+    z[k] + eq_tol in every coordinate and (z[k] - y[r]).max() > strict_tol.
+
+    y (..., S_y, n) and z (..., S_z, n) share their leading batch axes.  The
+    one place the pointwise test is written; every plain test, the tolerant
+    hull fallback, the batched pair kernel and the Pareto filter call it.
+    """
+    y = y[..., :, None, :]
+    z = z[..., None, :, :]
+    below = (y <= z + eq_tol).all(axis=-1)
+    return below & ((z - y).max(axis=-1) > strict_tol)
+
+
+# verdicts of decide_pairs
+MISS, HIT, OPEN = 0, 1, 2
+
+
+class PairDecisions(NamedTuple):
+    state: np.ndarray  # (P,) MISS, HIT or OPEN
+    anchor: np.ndarray  # (P, S_a) each point's first single-anchor hit, -1 where it has none
+    gap: np.ndarray  # (P, S_a) each point's total gap to that anchor
+    lp: np.ndarray  # (P, S_a) points that only the hull LP can settle
+
+
+def decide_pairs(a, z, mode: str, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> PairDecisions:
+    """Is every point of a[p] dominated by the anchors z[p]?  P pairs at once.
+
+    a is (P, S_a, n) and z (P, S_b, n).  A plain pair is a HIT when every
+    point has an anchor within eq_tol, else a MISS.  A hull pair is a MISS
+    when some point fails both the exact prechecks (box bound and total-sum
+    bound) and the eq_tol point test; it is OPEN when some point passes the
+    prechecks without an exact single-anchor hit, so that only the LP
+    settles it; else a HIT.  A point's anchor is its first exact hit if it
+    passed the prechecks and has one, else its first eq_tol hit: the
+    witness image_dominates gives it; anchors and gaps of a MISS are
+    unspecified.  Pairs go through in chunks of bounded memory.
+    """
+    _check_mode(mode)
+    count, rows, width = a.shape[0], a.shape[1], z.shape[1]
+    step = max(1, _CHUNK // (rows * width))
+    if count > step:
+        parts = [decide_pairs(a[lo:lo + step], z[lo:lo + step], mode, eq_tol, strict_tol)
+                 for lo in range(0, count, step)]
+        return PairDecisions(*(np.concatenate(field) for field in zip(*parts)))
+    tolerant = dominance_mask(a, z, eq_tol, strict_tol)
+    found = tolerant.any(axis=-1)
+    settled = found
+    lp = np.zeros_like(found)
+    if mode == "hull":
+        pre = (~(a > z.max(axis=1)[:, None, :] + eq_tol).any(axis=-1)
+               & (z.sum(axis=-1).max(axis=-1)[:, None] - a.sum(axis=-1) > strict_tol))
+        settled = pre | found
+    kept = settled.all(axis=-1)
+    if not kept.any():  # the common single-pair miss builds nothing more
+        return PairDecisions(np.full(count, MISS), np.full(found.shape, -1), np.zeros(found.shape), lp)
+    hits = tolerant
+    if mode == "hull":
+        exact = dominance_mask(a, z, 0.0, strict_tol) & pre[..., None]
+        has_exact = exact.any(axis=-1)
+        hits = np.where(has_exact[..., None], exact, tolerant)
+        lp = pre & ~has_exact
+    first = hits.argmax(axis=-1)
+    gap = np.maximum(z[np.arange(count)[:, None], first] - a, 0.0).sum(axis=-1)
+    # a kept pair is OPEN (HIT + 1) when some point needs the LP
+    state = np.where(kept, HIT + lp.any(axis=-1), MISS)
+    return PairDecisions(state, np.where(found, first, -1), gap, lp)
+
+
+def pair_witnesses(z, ids, anchor, gap, mode: str) -> list:
+    """Point witnesses of one pair from its decide_pairs row: each point's
+    anchor row of z, named by ids, with weight 1 on it in hull mode; None
+    for a point without an anchor."""
+    hull = mode == "hull"
+    return [None if k < 0 else DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k],
+                                                weights={ids[k]: 1.0} if hull else None)
+            for k, g in zip(anchor.tolist(), gap.tolist())]
 
 
 def point_witnesses(y, z, ids, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> Optional[list]:
@@ -89,10 +167,10 @@ def point_witnesses(y, z, ids, eq_tol: float = EQ_TOL, strict_tol: float = STRIC
     strict_tol, as dominated_by_point_set would give it; None if some row
     has no such anchor.
     """
-    hits = dominance_mask(y, z, eq_tol, strict_tol)
-    if not hits.any(axis=1).all():
+    found = decide_pairs(y[None], z[None], "plain", eq_tol, strict_tol)
+    if found.state[0] == MISS:
         return None
-    return _first_hit_witnesses(y, z, ids, hits)
+    return pair_witnesses(z, ids, found.anchor[0], found.gap[0], "plain")
 
 
 def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[list]:
@@ -100,38 +178,31 @@ def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[lis
 
     Per row: the exact prechecks, then a single anchor dominating without
     slack, then the LP; a row that none of these settles falls back to the
-    plain test within eq_tol.  LPs run only for unsettled rows, in order,
-    and only once every row has passed a precheck or the fallback.
+    plain test within eq_tol.  LPs run only for the rows decide_pairs leaves
+    to them, in order, and only once every row has passed a precheck or the
+    fallback.
     """
-    # exact prechecks: the box bound and the total-sum bound are necessary
-    ysum = y.sum(axis=1)
-    pre = ~(y > z.max(axis=0) + eq_tol).any(axis=1) & (z.sum(axis=1).max() - ysum > strict_tol)
-    tolerant = dominance_mask(y, z, eq_tol, strict_tol)
-    has_tolerant = tolerant.any(axis=1)
-    if not (pre | has_tolerant).all():
+    found = decide_pairs(y[None], z[None], "hull", eq_tol, strict_tol)
+    if found.state[0] == MISS:
         return None
-    exact = dominance_mask(y, z, 0.0, strict_tol) & pre[:, None]
-    has_exact = exact.any(axis=1)
-    witnesses = _first_hit_witnesses(y, z, ids, np.where(has_exact[:, None], exact, tolerant))
-    for w in witnesses:
-        w.weights = {w.anchor_id: 1.0}
-    for r in np.flatnonzero(pre & ~has_exact):
-        w = _lp_witness(y[r], ysum[r], z, ids, strict_tol)
+    witnesses = pair_witnesses(z, ids, found.anchor[0], found.gap[0], "hull")
+    for r in np.flatnonzero(found.lp[0]):
+        w = _lp_witness(y[r], z, ids, strict_tol)
         if w is not None:
             witnesses[r] = w
-        elif not has_tolerant[r]:
+        elif witnesses[r] is None:
             return None
     return witnesses
 
 
-def _lp_witness(y, ysum, z, ids, strict_tol: float) -> Optional[DominanceWitness]:
+def _lp_witness(y, z, ids, strict_tol: float) -> Optional[DominanceWitness]:
     # solver roundoff on c is ~1e-15, so the certificate re-verifies at eq_tol
     lam = _hull_improvement(y, z)
     if lam is None:
         return None
     c = z.T @ lam
     gap = float(np.maximum(c - y, 0.0).sum())
-    if float(c.sum() - ysum) <= strict_tol:
+    if float(c.sum() - y.sum()) <= strict_tol:
         return None
     weights = {ids[j]: float(lam[j]) for j in range(len(ids)) if lam[j] > 1e-12}
     return DominanceWitness(kind="hull", point=c, gap=gap, weights=weights)

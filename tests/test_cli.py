@@ -482,6 +482,22 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert "step must lie in (0, 1]" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("option", ["--eq-tol", "--strict-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_tolerance_rejected(self, capsys, command, option, value):
+        # nan labelled every candidate efficient, and a negative eq_tol gave another labelling
+        code, out, err = run(capsys, command, "--builtin", "problem-1", f"{option}={value}")
+        assert (code, out) == (2, "")
+        name = option[2:].replace("-", "_")
+        assert err == f"error: {name} must be finite and nonnegative, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    def test_zero_tolerances_accepted(self, capsys, command):
+        code, out, _ = run(capsys, command, "--builtin", "problem-1", "--eq-tol", "0", "--strict-tol", "0")
+        # report runs; at eq_tol 0 its re-verification may find LP witnesses off by roundoff
+        assert code in ((0,) if command == "classify" else (0, 1)) and out
+
     def test_two_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         save_instance(builtin_instance("problem-1"), path)

@@ -15,7 +15,7 @@ from robpareto.core import (
 from robpareto.efficiency import _BlockScan, classify, pareto_filter_max, set_valued_minimizers
 from robpareto.geometry import image_dominates
 from robpareto.linprog import SolverStalledError
-from robpareto.testing import random_hyperrectangle_values, random_instance
+from robpareto.testing import harness, random_hyperrectangle_values, random_instance
 
 from oracles import pareto_max_filter, pareto_min_filter, reference_classify
 
@@ -290,7 +290,7 @@ def test_block_masks_keep_every_dominator(values):
     sids = tuple(f"s{k}" for k in range(len(values[0])))
     images = [ObjectiveImage(f"c{i}", sids, v) for i, v in enumerate(values)]
     order = np.arange(len(images))[::-1]
-    scan = _BlockScan(images, order, 1e-9, 1e-9)
+    scan = _BlockScan(images, np.array([img.values for img in images]), order, 1e-9, 1e-9)
     for js, box, alive in scan.blocks():
         for b, j in enumerate(js):
             for k, i in enumerate(order):
@@ -401,3 +401,47 @@ def test_cyclic_near_tie_image_classifies():
     assert report.result_for("y").dominators["set_valued"].candidate == "x"
     assert set_valued_minimizers(inst) == ["x"]
     _assert_matches_reference(inst)
+
+
+def _near_tie_table(count, seed, hull):
+    """count candidates with 3 scenarios and 3 objectives: integers 0..3, a
+    tenth of the entries nudged by a near tie."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 3, 3)
+    nudge = np.array([0.0, -1.5e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 1.5e-9])
+    vals = rng.integers(0, 4, size=shape) + rng.choice(nudge, size=shape) * (rng.random(shape) < 0.1)
+    sids = ("s0", "s1", "s2")
+    table = {f"c{i}": dict(zip(sids, v)) for i, v in enumerate(vals)}
+    return Instance(
+        n=3,
+        scenarios=ScenarioSet(ids=sids),
+        objectives=TableObjectives(table),
+        candidates=ExplicitCandidates(tuple(table)),
+        scenario_hull=hull,
+    )
+
+
+@pytest.mark.parametrize("hull", [False, True])
+def test_classify_matches_reference_across_blocks(hull):
+    # the hypothesis instances stay inside one block of 64; this one spans three,
+    # with first survivors that miss, stay open for the LP and hit
+    inst = _near_tie_table(150, seed=0, hull=hull)
+    assert len(inst.candidate_list()) > 2 * 64
+    _assert_matches_reference(inst)
+
+
+_BAD_TOLERANCES = [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300]
+
+
+@pytest.mark.parametrize("bad", _BAD_TOLERANCES)
+@pytest.mark.parametrize("name", ["eq_tol", "strict_tol"])
+@pytest.mark.parametrize("entry", [classify, set_valued_minimizers, harness])
+def test_bad_tolerances_rejected(problem1, entry, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        entry(problem1, **{name: bad})
+
+
+def test_zero_tolerances_accepted(problem1):
+    report = classify(problem1, eq_tol=0.0, strict_tol=0.0)
+    assert len(report.results) == 21
+    assert set_valued_minimizers(problem1, eq_tol=0.0, strict_tol=0.0)

@@ -1,21 +1,29 @@
 """Dominance geometry: point/hull membership, witnesses, signed distance."""
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from robpareto import geometry
 from robpareto.core import ObjectiveImage
 from robpareto.geometry import (
     EQ_TOL,
+    HIT,
+    MISS,
+    OPEN,
     STRICT_TOL,
     DominanceWitness,
+    decide_pairs,
     dominated_by_hull,
     dominated_by_point_set,
     image_dominates,
     is_hyperrectangle,
+    pair_witnesses,
     signed_distance,
 )
-from robpareto.linprog import lp_solve
+from robpareto.efficiency import _padded_stack
+from robpareto.linprog import SolverStalledError, lp_solve
 
 from oracles import (
     hull_distance_enum,
@@ -384,3 +392,52 @@ def test_hull_distance_matches_highs(query):
                       options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
         assert res.status == 0
         assert abs(res.fun - dist) <= 1e-9
+
+
+# perturbations at the eq_tol / strict_tol scale put ties on both sides of
+# every tolerance comparison
+_NEAR_TIE = st.sampled_from([0.0, 0.0, -1.5e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 1.5e-9])
+
+
+@st.composite
+def _pair_stacks(draw):
+    """Pairs of ragged near-tie images of one n, as (dominators, targets)."""
+    n = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(0, 8))
+
+    def image(label):
+        rows = draw(st.integers(1, 4))
+        return _img(label, [[draw(st.integers(0, 3)) * scale + draw(_NEAR_TIE) for _ in range(n)]
+                            for _ in range(rows)])
+
+    count = draw(st.integers(1, 6))
+    return [image(f"a{p}") for p in range(count)], [image(f"z{p}") for p in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=_pair_stacks(), mode=st.sampled_from(geometry.MODES))
+def test_decide_pairs_matches_image_dominates(pairs, mode):
+    # the stacks are padded as classify pads its filtered images
+    dominators, targets = pairs
+    z = _padded_stack(targets)
+    found = decide_pairs(_padded_stack(dominators), z, mode)
+    for p, (a, b) in enumerate(zip(dominators, targets)):
+        with mock.patch.object(geometry, "_hull_improvement", wraps=geometry._hull_improvement) as lp:
+            try:
+                want = image_dominates(a, b, mode)
+            except SolverStalledError:
+                reject()
+        if found.state[p] == OPEN:
+            # only a hull pair stays open, and only where the pair test solves an LP
+            assert mode == "hull" and lp.called
+            continue
+        assert not lp.called
+        assert found.state[p] == (MISS if want is None else HIT)
+        if want is None:
+            continue
+        got = dict(zip(a.scenario_ids, pair_witnesses(z[p], b.scenario_ids, found.anchor[p], found.gap[p], mode)))
+        assert list(got) == list(want)
+        for sid, w in want.items():
+            g = got[sid]
+            assert (g.kind, repr(g.gap), g.anchor_id, g.weights) == (w.kind, repr(w.gap), w.anchor_id, w.weights)
+            assert g.point.tobytes() == w.point.tobytes()
