@@ -38,7 +38,7 @@ from .core import (
     instance_from_dict,
     with_step,
 )
-from .efficiency import EfficiencyReport, classify
+from .efficiency import LABELS, EfficiencyReport, classify
 from .geometry import EQ_TOL, STRICT_TOL, check_tolerances
 from .phantom import PhantomConfig, generate as generate_phantom
 from .scalarize import (
@@ -57,8 +57,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
-
-_NOTIONS = ("robust", "convex_hull", "objectivewise", "set_valued")
 
 CSV_HEADER = (
     "candidate",
@@ -370,7 +368,7 @@ def svg_scatter(points: np.ndarray, labels, title: str, subtitle: str,
 def classification_csv(report: EfficiencyReport) -> str:
     rows = [list(CSV_HEADER)]
     for r in report.results:
-        doms = "; ".join(f"{k}:{r.dominators[k].label}" for k in _NOTIONS if k in r.dominators)
+        doms = "; ".join(f"{k}:{r.dominators[k].label}" for k in LABELS if k in r.dominators)
         rows.append([
             r.label,
             "true" if r.robust_efficient else "false",
@@ -401,7 +399,7 @@ def cmd_classify(args) -> Run:
     instance, source = _load_instance(args)
     report = classify(instance, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
     text = classification_csv(report)
-    counts = {k: len(report.efficient(k)) for k in _NOTIONS}
+    counts = {k: len(report.efficient(k)) for k in LABELS}
     summary = f"{len(report.results)} candidates, " + ", ".join(f"{k}={v}" for k, v in counts.items())
     return Run(text, source, {"classify.csv": text}, summary)
 

@@ -4,14 +4,16 @@ An Instance bundles n objectives, a finite scenario set S, an objective map
 f(x; s), and a candidate space X.  Each objective form stores one read-only
 stacked array plus the id tuples (and id -> position dicts) that index it: a
 table as (C, S, n), an affine family as (S, n, k), a linear-in-s map as
-(C, n, d).  Nested id mappings exist only at the input boundary (the
-constructors and the JSON format), where one check stacks them and rejects
-ragged, non-numeric or non-finite entries.  Everything downstream (dominance
-tests, efficiency certificates, scalarized solves) consumes images f(x; S)
-produced here by _image_values, the one evaluator of the objective forms:
-Instance.image_tensor() holds all images as one read-only (N, |S|, n) array,
-and Instance.image() is a one-row call for any candidate.  Instances are
-immutable after construction; arrays are marked read-only.
+(C, n, d).  Nested id mappings exist only at the JSON boundary (the mapping
+constructors, instance_to_dict and instance_from_dict); package code that
+holds an array builds a table with TableObjectives.stacked.  One check stores
+both and rejects ragged, non-numeric or non-finite entries.  Simplex lattices
+come from compositions(), the one lattice enumerator.  Everything downstream
+(dominance tests, efficiency certificates, scalarized solves) consumes images
+f(x; S) produced here by _image_values, the one evaluator of the objective
+forms: Instance.image_tensor() holds all images as one read-only (N, |S|, n)
+array, and Instance.image() is a one-row call for any candidate.  Instances
+are immutable after construction; arrays are marked read-only.
 """
 from __future__ import annotations
 
@@ -52,6 +54,16 @@ def _stacked(entries, what: str, ndim: int) -> tuple:
     return ids, _frozen(list(entries.values()), what, ndim), {k: i for i, k in enumerate(ids)}
 
 
+def _id_tuple(ids, kind: str, empty: str) -> tuple:
+    """ids as a tuple of strings; ValueError(empty) if there are none, or if two repeat."""
+    ids = tuple(str(i) for i in ids)
+    if not ids:
+        raise ValueError(empty)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{kind} ids must be unique")
+    return ids
+
+
 def _require_ids(positions: dict, ids, kind: str, where: str) -> None:
     missing = next((i for i in ids if i not in positions), None)
     if missing is not None:
@@ -74,11 +86,7 @@ class ScenarioSet:
     def __post_init__(self):
         if isinstance(self.ids, str):
             raise ValueError(f"scenario ids must be a list, not the string {self.ids!r}")
-        self.ids = tuple(str(i) for i in self.ids)
-        if len(self.ids) == 0:
-            raise ValueError("scenario set must contain at least one scenario")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("scenario ids must be unique")
+        self.ids = _id_tuple(self.ids, "scenario", "scenario set must contain at least one scenario")
         if self.coords is not None:
             _require_ids(self.coords, self.ids, "scenario", "coords")
             _, rows, _ = _stacked({sid: np.ravel(self.coords[sid]) for sid in self.ids}, "scenario coords", 2)
@@ -104,24 +112,40 @@ class ScenarioSet:
 
 
 class TableObjectives:
-    """Explicit per-(candidate, scenario) objective vectors.
+    """Explicit per-(candidate, scenario) objective vectors, array[c, s] of shape (C, S, n).
 
-    values maps candidate id -> scenario id -> vector, every row naming the
-    same scenario ids; it is stored as array[c, s], shape (C, S, n), indexed
-    by candidate_ids and scenario_ids (positions in candidate_pos, scenario_pos).
+    candidate_ids and scenario_ids index the array (positions in candidate_pos,
+    scenario_pos).  The constructor takes the JSON form, candidate id ->
+    scenario id -> vector, every row naming the same scenario ids (the array
+    follows the first row's order); stacked() takes the ids and the array.
     """
 
     form = "table"
 
     def __init__(self, values):
-        rows = values if isinstance(values, Mapping) else {}
-        first = next(iter(rows.values()), {})
-        if not all(isinstance(row, Mapping) and row.keys() == first.keys() for row in rows.values()):
+        if not isinstance(values, Mapping) or not values:
+            raise ValueError("objective table must be a non-empty object")
+        first = next(iter(values.values()))
+        if not all(isinstance(row, Mapping) and row.keys() == first.keys() for row in values.values()):
             raise ValueError("objective table rows must be objects naming the same scenario ids")
-        self.candidate_ids, self.array, self.candidate_pos = _stacked(
-            {cid: [row[sid] for sid in first] for cid, row in rows.items()}, "objective table", 3)
-        self.scenario_ids = tuple(str(sid) for sid in first)
-        self.scenario_pos = {sid: i for i, sid in enumerate(self.scenario_ids)}
+        self._store(values, first, [[row[sid] for sid in first] for row in values.values()])
+
+    @classmethod
+    def stacked(cls, candidate_ids, scenario_ids, array) -> "TableObjectives":
+        """Table from its id sequences and a (C, S, n) array (copied read-only)."""
+        table = cls.__new__(cls)
+        table._store(candidate_ids, scenario_ids, array)
+        return table
+
+    def _store(self, candidate_ids, scenario_ids, array) -> None:
+        self.array = _frozen(array, "objective table", 3)
+        self.candidate_ids = _id_tuple(candidate_ids, "candidate", "objective table has no candidates")
+        self.scenario_ids = _id_tuple(scenario_ids, "scenario", "objective table has no scenarios")
+        if self.array.shape[:2] != (len(self.candidate_ids), len(self.scenario_ids)):
+            raise ValueError(f"objective table has shape {self.array.shape}, expected "
+                             f"({len(self.candidate_ids)}, {len(self.scenario_ids)}, n) from its ids")
+        self.candidate_pos = {k: i for i, k in enumerate(self.candidate_ids)}
+        self.scenario_pos = {k: i for i, k in enumerate(self.scenario_ids)}
         self.n = self.array.shape[2]
 
     def validate_against(self, scenarios: ScenarioSet, candidate_ids: Sequence[str]):
@@ -179,12 +203,8 @@ class ExplicitCandidates:
     def __post_init__(self):
         if isinstance(self.ids, str):
             raise ValueError(f"candidate ids must be a list, not the string {self.ids!r}")
-        self.ids = tuple(str(i) for i in self.ids)
-        if len(self.ids) == 0:
-            raise ValueError("candidate list is empty")
+        self.ids = _id_tuple(self.ids, "candidate", "candidate list is empty")
         self._idset = frozenset(self.ids)
-        if len(self._idset) != len(self.ids):
-            raise ValueError("candidate ids must be unique")
 
     def __contains__(self, cid) -> bool:
         return cid in self._idset
@@ -193,14 +213,21 @@ class ExplicitCandidates:
         return list(self.ids)
 
 
-def _compositions(total: int, parts: int):
-    # integer vectors >= 0 summing to total, ascending lexicographic
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def compositions(total: int, parts: int) -> np.ndarray:
+    """Integer vectors >= 0 of length parts summing to total, ascending lexicographically.
+
+    Returns a (count, parts) int array.  Each column but the last repeats every
+    row so far once per value it can take (0 up to what is left of total).
+    """
+    heads = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        col = np.arange(starts.size) - starts
+        heads = np.column_stack([np.repeat(heads, counts, axis=0), col])
+        left = np.repeat(left, counts) - col
+    return np.column_stack([heads, left])
 
 
 MAX_LATTICE = 2_000_000
@@ -240,8 +267,7 @@ class SimplexCandidates:
     def enumerate(self):
         if self.points is not None:
             return list(self.points)
-        m = self.resolution
-        return [tuple(i / m for i in comp) for comp in _compositions(m, self.dim)]
+        return list(map(tuple, (compositions(self.resolution, self.dim) / self.resolution).tolist()))
 
 
 CandidateSpace = Union[ExplicitCandidates, SimplexCandidates]

@@ -81,8 +81,7 @@ class ExpectationConstraint:
 
 
 def to_robust(instance: Instance, ambiguity: AmbiguitySet,
-              constraint: Optional[ExpectationConstraint] = None,
-              feas_tol: float = FEAS_TOL) -> Instance:
+              constraint: Optional[ExpectationConstraint] = None) -> Instance:
     """Rewrite a distributionally robust problem as a plain robust one.
 
     The transformed scenarios are the generators; objective values are the
@@ -100,7 +99,7 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
     feasible = np.ones(len(cands), dtype=bool)
     if constraint is not None:
         rows = _image_values(constraint.map, instance.scenarios, cands)
-        feasible = np.array([all(np.all(pi @ r <= feas_tol) for pi in dists) for r in rows])
+        feasible = np.array([all(np.all(pi @ r <= FEAS_TOL) for pi in dists) for r in rows])
         kept = [c for c, ok in zip(cands, feasible) if ok]
         if not kept:
             raise EmptyFeasibleSetError("every candidate violates an expectation constraint")
@@ -110,31 +109,29 @@ def to_robust(instance: Instance, ambiguity: AmbiguitySet,
             candidates = SimplexCandidates(dim=candidates.dim, points=tuple(kept))
 
     obj = instance.objectives
+    coords = None
     if isinstance(obj, AffineFamilyObjectives):
         mixed = {
             gid: sum(pi[i] * obj.array[obj.scenario_pos[sid]] for i, sid in enumerate(sids))
             for gid, pi in zip(gids, dists)
         }
         objectives: ObjectiveMap = AffineFamilyObjectives(mixed)
-        scenarios = ScenarioSet(ids=gids)
     elif isinstance(obj, LinearScenarioObjectives):
         coords = {
             gid: sum(pi[i] * instance.scenarios.coords[sid] for i, sid in enumerate(sids))
             for gid, pi in zip(gids, dists)
         }
         objectives = obj  # the F matrices do not depend on the scenarios
-        scenarios = ScenarioSet(ids=gids, coords=coords)
     else:
-        # table maps always ride on explicit candidate ids
+        # table maps always ride on explicit candidate ids; one pi @ vals per (candidate,
+        # generator), because a batched matmul may round differently
         images = instance.image_tensor()[feasible]
-        objectives = TableObjectives({cid: {gid: pi @ vals for gid, pi in zip(gids, dists)}
-                                      for cid, vals in zip(candidates.ids, images)})
-        scenarios = ScenarioSet(ids=gids)
+        objectives = TableObjectives.stacked(candidates.ids, gids, [[pi @ vals for pi in dists] for vals in images])
 
     name = f"{instance.name}+dro" if instance.name else None
     return Instance(
         n=instance.n,
-        scenarios=scenarios,
+        scenarios=ScenarioSet(ids=gids, coords=coords),
         objectives=objectives,
         candidates=candidates,
         scenario_hull=ambiguity.convex_closure,

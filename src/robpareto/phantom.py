@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExplicitCandidates, Instance, ScenarioSet, TableObjectives
+from .core import ExplicitCandidates, Instance, ScenarioSet, TableObjectives, compositions
 
 MAX_CANDIDATES = 200_000
 
@@ -123,23 +123,6 @@ def objective_values(cfg: PhantomConfig, weights, shift: float = 0.0) -> np.ndar
     return np.column_stack([f1, f2])
 
 
-def _lattice_ids(cfg: PhantomConfig):
-    # integer spot loadings >= 0 with total <= resolution, id = digit string
-    m, k = cfg.lattice_resolution, cfg.spots
-    out = []
-
-    def rec(prefix, remaining, parts):
-        if parts == 1:
-            for last in range(remaining + 1):
-                out.append(prefix + (last,))
-            return
-        for head in range(remaining + 1):
-            rec(prefix + (head,), remaining - head, parts - 1)
-
-    rec((), m, k)
-    return [("".join(map(str, grades)), grades) for grades in out]
-
-
 def candidate_weights(cfg: PhantomConfig, candidate_id: str) -> np.ndarray:
     """Spot-weight vector behind a candidate id ("uniform" or a digit string)."""
     if candidate_id == "uniform":
@@ -153,23 +136,21 @@ def candidate_weights(cfg: PhantomConfig, candidate_id: str) -> np.ndarray:
 
 
 def generate(cfg: PhantomConfig = PhantomConfig()) -> Instance:
-    """Build the table-form instance for the configured phantom."""
-    ids_grades = _lattice_ids(cfg)
-    unit = budget(cfg) / cfg.lattice_resolution
-    ids = [cid for cid, _ in ids_grades] + ["uniform"]
-    x = np.array([g for _, g in ids_grades], dtype=float) * unit
-    x = np.vstack([x, np.full(cfg.spots, uniform_level(cfg))])
+    """Build the table-form instance for the configured phantom.
 
-    sids = [scenario_id(s) for s in cfg.shifts]
-    per_shift = {sid: objective_values(cfg, x, s) for sid, s in zip(sids, cfg.shifts)}
-    values = {
-        cid: {sid: per_shift[sid][row] for sid in sids}
-        for row, cid in enumerate(ids)
-    }
+    Lattice ids are the digit strings of the spot loadings with total at most
+    the resolution (at most 9), in ascending lexicographic order.
+    """
+    grades = compositions(cfg.lattice_resolution, cfg.spots + 1)[:, :-1]
+    digits = (grades + ord("0")).astype(np.uint8).view(f"S{cfg.spots}").ravel()
+    ids = tuple(digits.astype(str).tolist()) + ("uniform",)
+    x = np.vstack([grades * (budget(cfg) / cfg.lattice_resolution), np.full(cfg.spots, uniform_level(cfg))])
+    sids = tuple(scenario_id(s) for s in cfg.shifts)
+    values = np.stack([objective_values(cfg, x, s) for s in cfg.shifts], axis=1)
     return Instance(
         n=2,
-        scenarios=ScenarioSet(ids=tuple(sids)),
-        objectives=TableObjectives(values),
-        candidates=ExplicitCandidates(tuple(ids)),
+        scenarios=ScenarioSet(ids=sids),
+        objectives=TableObjectives.stacked(ids, sids, values),
+        candidates=ExplicitCandidates(ids),
         name="phantom",
     )

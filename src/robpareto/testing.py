@@ -13,7 +13,6 @@ from .core import (
     ExplicitCandidates,
     Instance,
     LinearScenarioObjectives,
-    ObjectiveImage,
     ScenarioSet,
     TableObjectives,
 )
@@ -30,15 +29,14 @@ def random_instance(rng: np.random.Generator, max_n: int = 3, max_scenarios: int
     m = int(rng.integers(1, max_scenarios + 1))
     k = int(rng.integers(1, max_candidates + 1))
     sids = tuple(f"s{i}" for i in range(m))
-    values = {
-        f"x{j}": {sid: rng.integers(0, 10, size=n).astype(float) for sid in sids}
-        for j in range(k)
-    }
+    cids = tuple(f"x{j}" for j in range(k))
+    # one draw per (candidate, scenario), in that order
+    values = [[rng.integers(0, 10, size=n) for _ in sids] for _ in cids]
     return Instance(
         n=n,
         scenarios=ScenarioSet(ids=sids),
-        objectives=TableObjectives(values),
-        candidates=ExplicitCandidates(tuple(f"x{j}" for j in range(k))),
+        objectives=TableObjectives.stacked(cids, sids, values),
+        candidates=ExplicitCandidates(cids),
         name=name,
     )
 
@@ -121,10 +119,9 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
     """
     problems = []
     report = classify(instance, eq_tol=eq_tol, strict_tol=strict_tol)
-    sids = instance.scenarios.ids
     tensor = instance.image_tensor()
-    images = {c: ObjectiveImage(c, sids, v) for c, v in zip(instance.candidate_list(), tensor)}
-    position = {c: i for i, c in enumerate(images)}
+    position = {c: i for i, c in enumerate(instance.candidate_list())}
+    scenario_pos = {sid: i for i, sid in enumerate(instance.scenarios.ids)}
     for res in report.results:
         label = str(res.candidate)
         if res.convex_hull_efficient and not res.robust_efficient:
@@ -133,9 +130,9 @@ def harness(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRI
             problems.append(f"{label}: set-valued flag disagrees with robust efficiency")
         for kind, dom in res.dominators.items():
             # witnesses are keyed by the dominating image's scenario ids
-            dom_img = images[dom.candidate]
+            dom_rows = tensor[position[dom.candidate]]
             for sid, witness in dom.witnesses.items():
-                if not witness.verify(dom_img.point(sid), eq_tol=eq_tol, strict_tol=strict_tol):
+                if not witness.verify(dom_rows[scenario_pos[sid]], eq_tol=eq_tol, strict_tol=strict_tol):
                     problems.append(f"{label}: recorded {kind} witness fails for scenario {sid}")
     for mode, flag in (("plain", "robust_efficient"), ("hull", "convex_hull_efficient")):
         for res in report.results:

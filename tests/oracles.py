@@ -191,6 +191,32 @@ def pareto_max_filter(points, eq_tol: float = 1e-9, strict_tol: float = 1e-9):
     return keep or list(range(pts.shape[0]))
 
 
+def recursive_compositions(total: int, parts: int):
+    """Integer vectors >= 0 of length parts summing to total, ascending lexicographic, by recursion."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def recursive_lattice_ids(resolution: int, spots: int) -> list:
+    """(digit-string id, loading) of every integer spot loading >= 0 with total <= resolution."""
+    out = []
+
+    def rec(prefix, remaining, parts):
+        if parts == 1:
+            for last in range(remaining + 1):
+                out.append(prefix + (last,))
+            return
+        for head in range(remaining + 1):
+            rec(prefix + (head,), remaining - head, parts - 1)
+
+    rec((), resolution, spots)
+    return [("".join(map(str, grades)), grades) for grades in out]
+
+
 def reference_image(objectives, scenarios, candidate) -> np.ndarray:
     """f(x; s) for one candidate, scenario by scenario: a table lookup or one M @ v."""
     rows = []

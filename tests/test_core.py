@@ -13,6 +13,7 @@ from robpareto.core import (
     TableObjectives,
     builtin_instance,
     candidate_label,
+    compositions,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -23,7 +24,7 @@ from robpareto.core import (
 )
 from robpareto.distro import ExpectationConstraint
 
-from oracles import reference_image
+from oracles import recursive_compositions, reference_image
 from strategies import instances
 
 
@@ -87,6 +88,14 @@ def test_simplex_lattice_enumeration(problem1):
     assert "0" in labels and "1" in labels and "0.5" in labels
     fine = with_step(problem1, 0.01)
     assert len(fine.candidate_list()) == 101
+
+
+@pytest.mark.parametrize("parts", range(1, 7))
+def test_compositions_match_the_recursive_reference(parts):
+    for total in range(10):
+        got = compositions(total, parts)
+        assert got.dtype.kind == "i" and got.shape[1] == parts
+        assert list(map(tuple, got.tolist())) == list(recursive_compositions(total, parts))
 
 
 def test_simplex_lattice_size_guard():
@@ -185,6 +194,41 @@ def test_objective_maps_store_one_stacked_array():
     assert linear.array.shape == (2, 1, 3) and linear.candidate_pos == {"a": 0, "b": 1}
     for obj in (table, family, linear):
         assert not obj.array.flags.writeable and obj.array.dtype == float
+
+
+def test_stacked_table_equals_the_mapping_table():
+    values = np.arange(12.0).reshape(2, 3, 2)
+    stacked = TableObjectives.stacked(["a", "b"], ("1", "2", "3"), values)
+    mapped = TableObjectives({c: dict(zip("123", rows)) for c, rows in zip("ab", values)})
+    for table in (stacked, mapped):
+        assert (table.candidate_ids, table.scenario_ids, table.n) == (("a", "b"), ("1", "2", "3"), 2)
+        assert (table.candidate_pos, table.scenario_pos) == ({"a": 0, "b": 1}, {"1": 0, "2": 1, "3": 2})
+        assert table.array.tobytes() == values.tobytes()
+
+
+def test_stacked_table_stores_a_read_only_copy():
+    values = np.ones((1, 1, 2))
+    table = TableObjectives.stacked(("a",), ("1",), values)
+    assert not table.array.flags.writeable and values.flags.writeable
+    values[0, 0, 0] = 5.0
+    assert table.array[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        table.array[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("cids, sids, values, message", [
+    (("a", "a"), ("1",), np.zeros((2, 1, 1)), "^candidate ids must be unique$"),
+    (("a",), ("1", "1"), np.zeros((1, 2, 1)), "^scenario ids must be unique$"),
+    (("a", "b"), ("1",), np.zeros((2, 2, 1)),
+     r"^objective table has shape \(2, 2, 1\), expected \(2, 1, n\) from its ids$"),
+    (("a",), ("1",), np.zeros((1, 1)), r"^objective table has shape \(1, 1\), expected 3 axes$"),
+    (("a",), ("1",), [[[0.0, np.inf]]], "^objective table has non-finite entries$"),
+    ((), ("1",), np.zeros((0, 1, 1)), "^objective table has no candidates$"),
+    (("a",), (), np.zeros((1, 0, 1)), "^objective table has no scenarios$"),
+])
+def test_stacked_table_rejects(cids, sids, values, message):
+    with pytest.raises(ValueError, match=message):
+        TableObjectives.stacked(cids, sids, values)
 
 
 def test_validate_against_names_the_missing_id():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from robpareto.core import TableObjectives
 from robpareto.efficiency import classify
 from robpareto.phantom import (
     PhantomConfig,
@@ -18,7 +19,7 @@ from robpareto.phantom import (
     uniform_level,
 )
 
-from oracles import pareto_min_filter
+from oracles import pareto_min_filter, recursive_lattice_ids
 
 
 def test_zero_candidate_objectives():
@@ -108,6 +109,28 @@ def test_generate_default_structure():
     for sid, shift in zip(inst.scenarios.ids, cfg.shifts):
         want = objective_values(cfg, candidate_weights(cfg, "uniform"), shift)[0]
         np.testing.assert_allclose(img.point(sid), want, atol=1e-9)
+
+
+@pytest.mark.parametrize("cfg", [
+    PhantomConfig(spots=1, lattice_resolution=1, shifts=(0,)),
+    PhantomConfig(spots=3, lattice_resolution=2),
+    PhantomConfig(spots=4, lattice_resolution=9, shifts=(-1.5, 0, 2)),
+    PhantomConfig(spots=6, lattice_resolution=3, budget_factor=0.5),
+])
+def test_generate_equals_the_table_built_from_the_mapping(cfg):
+    # the mapping built candidate by candidate, with ids from the recursive lattice
+    ids_grades = recursive_lattice_ids(cfg.lattice_resolution, cfg.spots)
+    ids = [cid for cid, _ in ids_grades] + ["uniform"]
+    x = np.array([g for _, g in ids_grades], dtype=float) * (budget(cfg) / cfg.lattice_resolution)
+    x = np.vstack([x, np.full(cfg.spots, uniform_level(cfg))])
+    sids = [scenario_id(s) for s in cfg.shifts]
+    per_shift = {sid: objective_values(cfg, x, s) for sid, s in zip(sids, cfg.shifts)}
+    want = TableObjectives({cid: {sid: per_shift[sid][row] for sid in sids} for row, cid in enumerate(ids)})
+    inst = generate(cfg)
+    got = inst.objectives
+    assert inst.candidate_list() == ids and inst.scenarios.ids == tuple(sids)
+    assert (got.candidate_ids, got.scenario_ids) == (want.candidate_ids, want.scenario_ids)
+    assert got.array.tobytes() == want.array.tobytes() and not got.array.flags.writeable
 
 
 def test_singleton_shift_is_deterministic(rng):
