@@ -33,11 +33,11 @@ filtered images, and objectivewise uses the sup-box mask alone.
 The first surviving pair of all rows of a block is decided at once, by one
 geometry.decide_pairs call over stacked arrays: the image tensor, the
 filtered images padded to one (N, S, n) array, or the (N, 1, n) sup
-corners.  Witnesses are built only for its hits.  A hull pair that some
-point leaves to the LP is open and goes to image_dominates; a row whose
-first pair missed walks on, one image_dominates call per pair.  A walk
-stops after about one pair on the phantom, so nearly every pair is decided
-in the batch.
+corners.  geometry.settle turns each pair the kernel keeps into
+witnesses, solving the LP only for the hull points the kernel leaves to
+it; a row whose first pair missed walks on, one image_dominates call per
+pair.  No pair is decided twice.  A walk stops after about one pair on
+the phantom, so nearly every pair is decided in the batch.
 
 On instances marked scenario_hull the listed scenarios generate a convex
 uncertainty set, the attainable image is the hull of the points, and the
@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, candidate_label
-from .geometry import (EQ_TOL, HIT, OPEN, STRICT_TOL, check_tolerances, decide_pairs, dominance_mask,
-                       image_dominates, pair_witnesses)
+from .geometry import (EQ_TOL, STRICT_TOL, check_tolerances, decide_pairs, dominance_mask, image_dominates,
+                       settle)
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
@@ -197,9 +197,9 @@ class _BlockScan:
         one-point sup corner), or None.
 
         One decide_pairs call decides the first survivor of every row, and
-        witnesses are built only for its hits.  A row whose first pair stayed
-        open walks from that pair, and one whose first pair missed from the
-        next survivor, one image_dominates call per pair.
+        geometry.settle builds the witnesses of each kept pair.  A row whose
+        first pair missed, in the kernel or in settle, walks on from the next
+        survivor, one image_dominates call per pair.
         """
         out = [None] * len(js)
         rows = np.flatnonzero(mask.any(axis=1))
@@ -211,14 +211,14 @@ class _BlockScan:
         found = decide_pairs(self.stack[doms], targets[js[rows]], mode, self.eq_tol, self.strict_tol)
         for p, (b, k, i) in enumerate(zip(rows.tolist(), ks.tolist(), doms.tolist())):
             j = js[b]
-            if found.state[p] == HIT:
-                ids = _CORNER_IDS if corners else self.images[j].scenario_ids
-                witnesses = pair_witnesses(targets[j], ids, found.anchor[p], found.gap[p], mode)
+            ids = _CORNER_IDS if corners else self.images[j].scenario_ids
+            z = targets[j][:len(ids)]  # without padding, as settle needs
+            witnesses = settle(self.images[i].values, z, ids, found, p, mode, self.strict_tol)
+            if witnesses is not None:
                 out[b] = i, dict(zip(self.images[i].scenario_ids, witnesses))
                 continue
-            target = ObjectiveImage(self.images[j].candidate, _CORNER_IDS, self.sup[j][None]) if corners \
-                else self.images[j]
-            out[b] = self._walk(target, mask[b], k if found.state[p] == OPEN else k + 1, mode)
+            target = ObjectiveImage(self.images[j].candidate, ids, z) if corners else self.images[j]
+            out[b] = self._walk(target, mask[b], k + 1, mode)
         return out
 
     def _walk(self, target: ObjectiveImage, alive: np.ndarray, start: int, mode: str) -> Optional[tuple]:

@@ -9,10 +9,12 @@ improvement that makes dominance strict.  Both must be finite and
 nonnegative (check_tolerances).
 
 dominance_mask is the one place the pointwise test is written.
-decide_pairs runs it over stacked image pairs: each pair is a hit, a miss,
-or, in hull mode, open when some point only the LP can settle.  The plain
-and hull witness tests of image_dominates are its one-pair calls, plus the
-LP for the points an open pair leaves.
+decide_pairs runs it over stacked image pairs and keeps the pairs that
+every point passes, marking in hull mode the points only the LP can
+settle.  settle is the one place a kept pair becomes certificates: anchor
+witnesses from the kernel, LP witnesses for the marked points.
+image_dominates, dominated_by_point_set and dominated_by_hull are its
+one-pair calls, and classify's scan calls it on each kept pair.
 
 signed_distance is the one evaluator of the constructive certificate, the
 oriented distance from points of shape (..., n) to (anchor region) - R^n_+.
@@ -22,7 +24,8 @@ every basis system with k >= 2 is inverted once per anchor set, applied to
 all points, and the least distance its weights reach is taken; the k = 1
 bases are the plain distance, so hull <= plain.  Anchor sets with more
 than MAX_BASES such bases, a count fixed by (m, n), fall back to one
-lp_solve per point.  The dominance witnesses still come from lp_solve.
+lp_solve per point.  The hull witnesses of the LP points still come from
+lp_solve.
 """
 from __future__ import annotations
 
@@ -95,12 +98,8 @@ def dominance_mask(y, z, eq_tol: float, strict_tol: float) -> np.ndarray:
     return below & ((z - y).max(axis=-1) > strict_tol)
 
 
-# verdicts of decide_pairs
-MISS, HIT, OPEN = 0, 1, 2
-
-
 class PairDecisions(NamedTuple):
-    state: np.ndarray  # (P,) MISS, HIT or OPEN
+    kept: np.ndarray  # (P,) pairs that every point passed; settle decides them
     anchor: np.ndarray  # (P, S_a) each point's first single-anchor hit, -1 where it has none
     gap: np.ndarray  # (P, S_a) each point's total gap to that anchor
     lp: np.ndarray  # (P, S_a) points that only the hull LP can settle
@@ -109,15 +108,16 @@ class PairDecisions(NamedTuple):
 def decide_pairs(a, z, mode: str, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> PairDecisions:
     """Is every point of a[p] dominated by the anchors z[p]?  P pairs at once.
 
-    a is (P, S_a, n) and z (P, S_b, n).  A plain pair is a HIT when every
-    point has an anchor within eq_tol, else a MISS.  A hull pair is a MISS
-    when some point fails both the exact prechecks (box bound and total-sum
-    bound) and the eq_tol point test; it is OPEN when some point passes the
-    prechecks without an exact single-anchor hit, so that only the LP
-    settles it; else a HIT.  A point's anchor is its first exact hit if it
-    passed the prechecks and has one, else its first eq_tol hit: the
-    witness image_dominates gives it; anchors and gaps of a MISS are
-    unspecified.  Pairs go through in chunks of bounded memory.
+    a is (P, S_a, n) and z (P, S_b, n).  A plain pair is kept when every
+    point has an anchor within eq_tol.  A hull pair is kept when every
+    point passes the exact prechecks (box bound and total-sum bound) or the
+    eq_tol point test; lp marks the points that passed the prechecks
+    without an exact single-anchor hit, which only the LP settles.  A kept
+    pair with no lp point is dominated; settle decides the rest.  A point's
+    anchor is its first exact hit if it passed the prechecks and has one,
+    else its first eq_tol hit: the witness image_dominates gives it;
+    anchors and gaps of an unkept pair are unspecified.  Pairs go through
+    in chunks of bounded memory.
     """
     _check_mode(mode)
     count, rows, width = a.shape[0], a.shape[1], z.shape[1]
@@ -136,7 +136,7 @@ def decide_pairs(a, z, mode: str, eq_tol: float = EQ_TOL, strict_tol: float = ST
         settled = pre | found
     kept = settled.all(axis=-1)
     if not kept.any():  # the common single-pair miss builds nothing more
-        return PairDecisions(np.full(count, MISS), np.full(found.shape, -1), np.zeros(found.shape), lp)
+        return PairDecisions(kept, np.full(found.shape, -1), np.zeros(found.shape), lp)
     hits = tolerant
     if mode == "hull":
         exact = dominance_mask(a, z, 0.0, strict_tol) & pre[..., None]
@@ -145,48 +145,27 @@ def decide_pairs(a, z, mode: str, eq_tol: float = EQ_TOL, strict_tol: float = ST
         lp = pre & ~has_exact
     first = hits.argmax(axis=-1)
     gap = np.maximum(z[np.arange(count)[:, None], first] - a, 0.0).sum(axis=-1)
-    # a kept pair is OPEN (HIT + 1) when some point needs the LP
-    state = np.where(kept, HIT + lp.any(axis=-1), MISS)
-    return PairDecisions(state, np.where(found, first, -1), gap, lp)
+    return PairDecisions(kept, np.where(found, first, -1), gap, lp)
 
 
-def pair_witnesses(z, ids, anchor, gap, mode: str) -> list:
-    """Point witnesses of one pair from its decide_pairs row: each point's
-    anchor row of z, named by ids, with weight 1 on it in hull mode; None
-    for a point without an anchor."""
+def settle(y, z, ids, found: PairDecisions, p: int, mode: str, strict_tol: float = STRICT_TOL) -> Optional[list]:
+    """The witnesses of pair p of found, one per row of y, or None if y is not dominated.
+
+    y (S, n) and z (m, n) are the pair's points and anchors without padding,
+    ids names the rows of z.  Each point gets its anchor witness, with
+    weight 1 on it in hull mode; then the pair's lp points are solved in
+    row order, and a point that neither the LP nor the eq_tol point test
+    settles makes the pair a miss.  Only the first len(y) rows of found
+    are read, so a padded point is never solved.
+    """
+    if not found.kept[p]:
+        return None
+    rows = len(y)
     hull = mode == "hull"
-    return [None if k < 0 else DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k],
-                                                weights={ids[k]: 1.0} if hull else None)
-            for k, g in zip(anchor.tolist(), gap.tolist())]
-
-
-def point_witnesses(y, z, ids, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> Optional[list]:
-    """Plain witnesses for every row of y against the anchor rows z (ids names them).
-
-    Each row gets the first anchor with y <= z within eq_tol and a gap >
-    strict_tol, as dominated_by_point_set would give it; None if some row
-    has no such anchor.
-    """
-    found = decide_pairs(y[None], z[None], "plain", eq_tol, strict_tol)
-    if found.state[0] == MISS:
-        return None
-    return pair_witnesses(z, ids, found.anchor[0], found.gap[0], "plain")
-
-
-def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[list]:
-    """Hull witnesses for every row of y, or None if some row is not dominated.
-
-    Per row: the exact prechecks, then a single anchor dominating without
-    slack, then the LP; a row that none of these settles falls back to the
-    plain test within eq_tol.  LPs run only for the rows decide_pairs leaves
-    to them, in order, and only once every row has passed a precheck or the
-    fallback.
-    """
-    found = decide_pairs(y[None], z[None], "hull", eq_tol, strict_tol)
-    if found.state[0] == MISS:
-        return None
-    witnesses = pair_witnesses(z, ids, found.anchor[0], found.gap[0], "hull")
-    for r in np.flatnonzero(found.lp[0]):
+    witnesses = [None if k < 0 else DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k],
+                                                     weights={ids[k]: 1.0} if hull else None)
+                 for k, g in zip(found.anchor[p, :rows].tolist(), found.gap[p, :rows].tolist())]
+    for r in itertools.compress(range(rows), found.lp[p, :rows].tolist()):
         w = _lp_witness(y[r], z, ids, strict_tol)
         if w is not None:
             witnesses[r] = w
@@ -195,8 +174,15 @@ def _hull_witnesses(y, z, ids, eq_tol: float, strict_tol: float) -> Optional[lis
     return witnesses
 
 
+def _witnesses(y, z, ids, mode: str, eq_tol: float, strict_tol: float) -> Optional[list]:
+    """settle for the one pair (y, z): a witness per row of y, or None."""
+    return settle(y, z, ids, decide_pairs(y[None], z[None], mode, eq_tol, strict_tol), 0, mode, strict_tol)
+
+
 def _lp_witness(y, z, ids, strict_tol: float) -> Optional[DominanceWitness]:
-    # solver roundoff on c is ~1e-15, so the certificate re-verifies at eq_tol
+    # lp_solve meets c >= y only up to linprog.FEAS_TOL, plus the rounding of
+    # z^T lambda, so the certificate re-verifies at the default eq_tol but
+    # can fail at eq_tol = 0
     lam = _hull_improvement(y, z)
     if lam is None:
         return None
@@ -215,7 +201,9 @@ def _single_point(y, anchors, anchor_ids) -> tuple:
     if y.shape != (z.shape[1],):
         raise ValueError(f"y must have shape ({z.shape[1]},), the anchors' n, got shape {y.shape}")
     if anchor_ids is not None:
-        ids = list(anchor_ids)
+        ids = [] if isinstance(anchor_ids, str) else list(anchor_ids)
+        if len(ids) != z.shape[0]:
+            raise ValueError(f"anchor_ids must hold one id per anchor ({z.shape[0]}), got {anchor_ids!r}")
     elif isinstance(anchors, ObjectiveImage):
         ids = list(anchors.scenario_ids)
     else:
@@ -232,7 +220,7 @@ def dominated_by_point_set(
 ) -> Optional[DominanceWitness]:
     """First anchor (in the given order) with y <= z within eq_tol and a gap > strict_tol."""
     y, z, ids = _single_point(y, anchors, anchor_ids)
-    found = point_witnesses(y, z, ids, eq_tol, strict_tol)
+    found = _witnesses(y, z, ids, "plain", eq_tol, strict_tol)
     return None if found is None else found[0]
 
 
@@ -247,16 +235,18 @@ def dominated_by_hull(
 
     Returns a witness iff the restricted region is nonempty and the optimum
     exceeds strict_tol, or iff y is dominated by a single anchor within
-    eq_tol.  The feasibility constraint is exact: any positive slack lets a
-    sliver of weight on a far anchor fabricate a gain of order slack times
-    the anchor spread, which can cross strict_tol.  eq_tol is still honored
+    eq_tol.  The feasibility constraint c >= y carries no eq_tol slack: any
+    slack lets a sliver of weight on a far anchor fabricate a gain of order
+    slack times the anchor spread, which can cross strict_tol.  lp_solve
+    still meets it only up to linprog.FEAS_TOL (1e-9 absolute), so c can
+    sit that far below y in a coordinate.  eq_tol is still honored
     by the quick rejection bound, by witness re-checks, and by the plain
     fallback: where the LP test finds nothing, the eq_tol point test decides
     and its witness carries weight 1 on its anchor.  So plain dominance
     implies hull dominance under the same tolerances.
     """
     y, z, ids = _single_point(y, anchors, anchor_ids)
-    found = _hull_witnesses(y, z, ids, eq_tol, strict_tol)
+    found = _witnesses(y, z, ids, "hull", eq_tol, strict_tol)
     return None if found is None else found[0]
 
 
@@ -282,13 +272,14 @@ def image_dominates(a: ObjectiveImage, b: ObjectiveImage, mode: str = "plain",
 
     True when every point of a is dominated (in the chosen mode) by b's
     anchor set; returns the per-scenario witness map then, None otherwise.
-    The relation is irreflexive: an image never dominates itself.  All
-    points are tested in one batch; the witnesses equal those of the
-    per-point tests.
+    The relation is irreflexive only up to the tolerances: in a cyclic
+    near-tie image such as [[1.000000001, 1], [1, 1.000000001]] each point
+    clears the other by more than strict_tol, so the image dominates itself.
+    classify never tests a candidate against itself (the sup-box mask drops
+    the diagonal).  All points are tested in one batch; the witnesses equal
+    those of the per-point tests.
     """
-    _check_mode(mode)
-    batch = point_witnesses if mode == "plain" else _hull_witnesses
-    found = batch(a.values, b.values, list(b.scenario_ids), eq_tol, strict_tol)
+    found = _witnesses(a.values, b.values, list(b.scenario_ids), mode, eq_tol, strict_tol)
     if found is None:
         return None
     return dict(zip(a.scenario_ids, found))

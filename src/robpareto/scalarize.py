@@ -190,11 +190,6 @@ class SignedDistanceScalarizer(Scalarizer):
         return np.asarray(geometry.signed_distance(self._rows(ys), self.anchors, self.mode))
 
 
-def apply(u: Scalarizer, y) -> float:
-    """u(y) for one objective vector."""
-    return u.value(y)
-
-
 class WorstCase(NamedTuple):
     value: float
     scenario_id: str

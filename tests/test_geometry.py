@@ -9,9 +9,6 @@ from robpareto import geometry
 from robpareto.core import ObjectiveImage
 from robpareto.geometry import (
     EQ_TOL,
-    HIT,
-    MISS,
-    OPEN,
     STRICT_TOL,
     DominanceWitness,
     decide_pairs,
@@ -19,7 +16,7 @@ from robpareto.geometry import (
     dominated_by_point_set,
     image_dominates,
     is_hyperrectangle,
-    pair_witnesses,
+    settle,
     signed_distance,
 )
 from robpareto.efficiency import _padded_stack
@@ -79,6 +76,13 @@ class TestDominanceInputs:
     def test_one_dimensional_anchors_rejected(self, test):
         with pytest.raises(ValueError, match="2-D"):
             test([0, 0], [5, 5])
+
+    @pytest.mark.parametrize("ids", [["only"], ["a", "b", "c"], "ab"])
+    def test_anchor_ids_must_name_each_anchor(self, test, ids):
+        # too few, too many, and a string, which would name anchors by its characters
+        with pytest.raises(ValueError, match="one id per anchor \\(2\\)") as err:
+            test([0, 0], [[-1, -1], [1, 1]], anchor_ids=ids)
+        assert "\n" not in str(err.value)
 
 
 class TestHullDominance:
@@ -150,6 +154,13 @@ class TestImageDominance:
         img = problem1.image(0.35)
         assert image_dominates(img, img, mode="plain") is None
         assert image_dominates(img, img, mode="hull") is None
+        # only up to the tolerances: each point of a cyclic near-tie clears the
+        # other by a rounded 1.00000008e-9 > strict_tol, so the image dominates
+        # itself (classify never tests a candidate against itself)
+        tie = _img("tie", [[1.000000001, 1], [1, 1.000000001]])
+        for mode in geometry.MODES:
+            wit = image_dominates(tie, tie, mode=mode)
+            assert wit is not None and [w.anchor_id for w in wit.values()] == ["2", "1"]
 
     def test_dimension_mismatch(self, problem1):
         with pytest.raises(ValueError):
@@ -417,25 +428,27 @@ def _pair_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(pairs=_pair_stacks(), mode=st.sampled_from(geometry.MODES))
 def test_decide_pairs_matches_image_dominates(pairs, mode):
-    # the stacks are padded as classify pads its filtered images
+    # the stacks are padded as classify pads its filtered images; settle on the
+    # unpadded pair must give image_dominates' witnesses with the same LPs
     dominators, targets = pairs
-    z = _padded_stack(targets)
-    found = decide_pairs(_padded_stack(dominators), z, mode)
+    found = decide_pairs(_padded_stack(dominators), _padded_stack(targets), mode)
     for p, (a, b) in enumerate(zip(dominators, targets)):
-        with mock.patch.object(geometry, "_hull_improvement", wraps=geometry._hull_improvement) as lp:
-            try:
-                want = image_dominates(a, b, mode)
-            except SolverStalledError:
-                reject()
-        if found.state[p] == OPEN:
-            # only a hull pair stays open, and only where the pair test solves an LP
-            assert mode == "hull" and lp.called
-            continue
-        assert not lp.called
-        assert found.state[p] == (MISS if want is None else HIT)
+        calls = []
+        for decide in (lambda: image_dominates(a, b, mode),
+                       lambda: settle(a.values, b.values, list(b.scenario_ids), found, p, mode)):
+            with mock.patch.object(geometry, "_hull_improvement", wraps=geometry._hull_improvement) as lp:
+                try:
+                    calls.append((decide(), lp.call_count))
+                except SolverStalledError:
+                    reject()
+        (want, want_lps), (got, got_lps) = calls
+        if not found.kept[p]:
+            assert want is None and want_lps == 0
+        assert got_lps == want_lps
+        assert (got is None) == (want is None)
         if want is None:
             continue
-        got = dict(zip(a.scenario_ids, pair_witnesses(z[p], b.scenario_ids, found.anchor[p], found.gap[p], mode)))
+        got = dict(zip(a.scenario_ids, got))
         assert list(got) == list(want)
         for sid, w in want.items():
             g = got[sid]

@@ -24,7 +24,6 @@ from robpareto.scalarize import (
     SignedDistanceScalarizer,
     WeightedPNorm,
     WeightedSum,
-    apply,
     catalog,
     constructive_scalarizer,
     dual_reformulate,
@@ -41,14 +40,14 @@ from strategies import ENTRY, instances
 class TestApply:
     def test_pnorm_p1_is_scaled_taxicab(self):
         u = WeightedPNorm(np.ones(2), 1.0)
-        assert abs(apply(u, [2, 4]) - 3.0) < 1e-12
+        assert abs(u.value([2, 4]) - 3.0) < 1e-12
 
     def test_weighted_sum_average(self):
-        assert abs(apply(WeightedSum([0.5, 0.5]), [2, 2]) - 2.0) < 1e-12
+        assert abs(WeightedSum([0.5, 0.5]).value([2, 2]) - 2.0) < 1e-12
 
     def test_pnorm_infinity_is_max(self):
         u = WeightedPNorm(np.ones(2), np.inf)
-        assert abs(apply(u, [3, 0]) - 3.0) < 1e-12
+        assert abs(u.value([3, 0]) - 3.0) < 1e-12
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -65,8 +64,8 @@ class TestApply:
     def test_chebyshev_signed_max(self):
         u = Chebyshev(np.array([1.0, 2.0]), ref=np.array([1.0, 1.0]))
         # signed: negative below the reference point
-        assert abs(apply(u, [3, 2]) - 2.0) < 1e-12
-        assert apply(u, [0, 0]) < 0
+        assert abs(u.value([3, 2]) - 2.0) < 1e-12
+        assert u.value([0, 0]) < 0
 
 
 class TestReferenceChecks:
@@ -310,7 +309,7 @@ class TestConstructive:
             u = constructive_scalarizer(inst, "a", mode=mode)
             y = np.array([4.0, 3.0])
             want = (y - np.array([2.0, 5.0])).max()
-            assert abs(apply(u, y) - want) < 1e-9
+            assert abs(u.value(y) - want) < 1e-9
 
     def test_anchors_checked_at_construction(self):
         for anchors, msg in (([[np.nan, 1.0]], "finite"), ([[np.inf, 1.0]], "finite"),
