@@ -20,6 +20,7 @@ from .core import (
     evaluate,
     image,
     instance_from_dict,
+    instance_json,
     instance_to_dict,
     load_instance,
     objective_scale,
@@ -111,6 +112,7 @@ __all__ = [
     "image",
     "image_dominates",
     "instance_from_dict",
+    "instance_json",
     "instance_to_dict",
     "is_hyperrectangle",
     "load_instance",

@@ -34,8 +34,8 @@ from .core import (
     Instance,
     builtin_instance,
     candidate_label,
-    instance_to_dict,
     instance_from_dict,
+    instance_json,
     with_step,
 )
 from .efficiency import LABELS, EfficiencyReport, classify
@@ -366,17 +366,12 @@ def svg_scatter(points: np.ndarray, labels, title: str, subtitle: str,
 # subcommands
 
 def classification_csv(report: EfficiencyReport) -> str:
+    labels = [candidate_label(c) for c in report.candidates]
+    columns = [report.dominator_index(kind).tolist() for kind in LABELS]
     rows = [list(CSV_HEADER)]
-    for r in report.results:
-        doms = "; ".join(f"{k}:{r.dominators[k].label}" for k in LABELS if k in r.dominators)
-        rows.append([
-            r.label,
-            "true" if r.robust_efficient else "false",
-            "true" if r.convex_hull_efficient else "false",
-            "true" if r.objectivewise_efficient else "false",
-            "true" if r.set_valued_minimizer else "false",
-            doms,
-        ])
+    for label, *doms in zip(labels, *columns):
+        rows.append([label, *("true" if i < 0 else "false" for i in doms),
+                     "; ".join(f"{kind}:{labels[i]}" for kind, i in zip(LABELS, doms) if i >= 0)])
     return _csv_text(rows)
 
 
@@ -400,7 +395,7 @@ def cmd_classify(args) -> Run:
     report = classify(instance, eq_tol=args.eq_tol, strict_tol=args.strict_tol)
     text = classification_csv(report)
     counts = {k: len(report.efficient(k)) for k in LABELS}
-    summary = f"{len(report.results)} candidates, " + ", ".join(f"{k}={v}" for k, v in counts.items())
+    summary = f"{len(report.candidates)} candidates, " + ", ".join(f"{k}={v}" for k, v in counts.items())
     return Run(text, source, {"classify.csv": text}, summary)
 
 
@@ -484,7 +479,7 @@ def cmd_sweep(args) -> Run:
 
 def cmd_phantom(args) -> Run:
     instance = generate_phantom(PhantomConfig())
-    text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
+    text = instance_json(instance)
     summary = f"{len(instance.candidate_list())} candidates, {len(instance.scenarios.ids)} scenarios"
     return Run(text, "phantom:default", {"phantom.json": text}, summary)
 

@@ -21,6 +21,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -516,14 +517,6 @@ def with_step(instance: Instance, step: float) -> Instance:
 # JSON instance files
 
 def instance_to_dict(instance: Instance, ambiguity: Optional[dict] = None) -> dict:
-    scen: dict = {"ids": list(instance.scenarios.ids)}
-    if instance.scenarios.coords is not None:
-        scen["coords"] = {k: v.tolist() for k, v in instance.scenarios.coords.items()}
-    if instance.scenarios.polyhedral_form is not None:
-        a, b = instance.scenarios.polyhedral_form
-        scen["A"] = a.tolist()
-        scen["b"] = b.tolist()
-
     obj = instance.objectives
     if obj.form == "table":
         rows = (dict(zip(obj.scenario_ids, row)) for row in obj.array.tolist())
@@ -532,6 +525,18 @@ def instance_to_dict(instance: Instance, ambiguity: Optional[dict] = None) -> di
         objectives = {"affine_family": dict(zip(obj.scenario_ids, obj.array.tolist()))}
     else:
         objectives = {"linear_in_s": dict(zip(obj.candidate_ids, obj.array.tolist()))}
+    return _instance_dict(instance, ambiguity, objectives)
+
+
+def _instance_dict(instance: Instance, ambiguity: Optional[dict], objectives) -> dict:
+    """instance_to_dict with the given value under "objectives"."""
+    scen: dict = {"ids": list(instance.scenarios.ids)}
+    if instance.scenarios.coords is not None:
+        scen["coords"] = {k: v.tolist() for k, v in instance.scenarios.coords.items()}
+    if instance.scenarios.polyhedral_form is not None:
+        a, b = instance.scenarios.polyhedral_form
+        scen["A"] = a.tolist()
+        scen["b"] = b.tolist()
 
     cands = instance.candidates
     if isinstance(cands, ExplicitCandidates):
@@ -554,6 +559,65 @@ def instance_to_dict(instance: Instance, ambiguity: Optional[dict] = None) -> di
     if ambiguity is not None:
         out["ambiguity"] = ambiguity
     return out
+
+
+def instance_json(instance: Instance, ambiguity: Optional[dict] = None) -> str:
+    """The text of json.dumps(instance_to_dict(instance, ambiguity), indent=2,
+    sort_keys=True) plus a newline, written faster.
+
+    With indent set, json encodes in pure Python, a token at a time.  Here
+    the objective array, nearly all of a table's text, is laid out by hand:
+    one call of the C encoder writes its numbers, which fill a %-template of
+    the indented layout.  The other fields are small and go through
+    json.dumps, indented one level by prefixing each line: JSON text has no
+    raw newline inside a string.
+    """
+    parts = []
+    for key, value in sorted(_instance_dict(instance, ambiguity, None).items()):
+        if key == "objectives":
+            text = _objectives_json(instance.objectives)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
+def _objectives_json(obj: ObjectiveMap) -> str:
+    """instance_json's text of the "objectives" field, one level deep."""
+    arr = obj.array
+    if obj.form == "table":  # candidate -> scenario -> row
+        keyed = (obj.candidate_ids, obj.scenario_ids)
+    elif obj.form == "affine_family":  # scenario -> matrix
+        keyed = (obj.scenario_ids,)
+    else:  # candidate -> matrix
+        keyed = (obj.candidate_ids,)
+    axes: list = [[encode_basestring_ascii(obj.form)]]
+    for axis, ids in enumerate(keyed):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        arr = arr.take(order, axis=axis)
+        axes.append([encode_basestring_ascii(ids[i]).replace("%", "%%") for i in order])
+    axes += arr.shape[len(keyed):]
+    numbers = json.dumps(arr.ravel().tolist())[1:-1].split(", ") if arr.size else []
+    return _layout(axes, "  ") % tuple(numbers)
+
+
+def _layout(axes, outer: str) -> str:
+    """%-template of a nested value as json.dumps(indent=2) lays it out at indent outer.
+
+    Each axis is a list of that length (an int) or a mapping with those
+    encoded keys, in order; each number is one %s.
+    """
+    if not axes:
+        return "%s"
+    inner = outer + "  "
+    value = _layout(axes[1:], inner)
+    if isinstance(axes[0], int):
+        items, (opening, closing) = [value] * axes[0], "[]"
+    else:
+        items, (opening, closing) = [f"{key}: {value}" for key in axes[0]], "{}"
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{outer}{closing}"
 
 
 def instance_from_dict(data: Mapping) -> Instance:
@@ -618,5 +682,4 @@ def load_instance(path) -> Instance:
 
 def save_instance(instance: Instance, path, ambiguity: Optional[dict] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance, ambiguity), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(instance_json(instance, ambiguity))

@@ -147,7 +147,7 @@ def che_equals_robust_check(instance: Instance, ambiguity: AmbiguitySet,
     without closure the two label sets may genuinely differ.
     """
     report = classify(to_robust(instance, ambiguity, constraint))
-    return all(r.robust_efficient == r.convex_hull_efficient for r in report.results)
+    return report.efficient("robust") == report.efficient("convex_hull")
 
 
 def ambiguity_to_dict(ambiguity: AmbiguitySet) -> dict:

@@ -33,11 +33,18 @@ filtered images, and objectivewise uses the sup-box mask alone.
 The first surviving pair of all rows of a block is decided at once, by one
 geometry.decide_pairs call over stacked arrays: the image tensor, the
 filtered images padded to one (N, S, n) array, or the (N, 1, n) sup
-corners.  geometry.settle turns each pair the kernel keeps into
-witnesses, solving the LP only for the hull points the kernel leaves to
-it; a row whose first pair missed walks on, one image_dominates call per
-pair.  No pair is decided twice.  A walk stops after about one pair on
-the phantom, so nearly every pair is decided in the batch.
+corners.  A kept pair with no point left to the LP is stored as arrays,
+one _Certificates per notion: the dominator's position and each point's
+anchor and gap.  geometry.settle solves the LP points of the other kept
+pairs; a row whose first pair missed walks on, one image_dominates call
+per pair.  No pair is decided twice.  A walk stops after about one pair
+on the phantom, so nearly every pair is decided in the batch.
+
+Witness objects are built only when read: Dominator.witnesses builds a
+stored pair's point witnesses from its arrays with
+geometry.anchor_witnesses, the same call settle makes, and only LP and
+walked pairs keep witness dicts from the scan.  The CSV, efficient() and
+dominator_index() read the arrays alone.
 
 On instances marked scenario_hull the listed scenarios generate a convex
 uncertainty set, the attainable image is the hull of the points, and the
@@ -45,14 +52,15 @@ plain notions coincide with their hull counterparts by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Instance, ObjectiveImage, SimplexCandidates, candidate_label
-from .geometry import (EQ_TOL, STRICT_TOL, check_tolerances, decide_pairs, dominance_mask, image_dominates,
-                       settle)
+from .core import Candidate, Instance, ObjectiveImage, candidate_label
+from .geometry import (EQ_TOL, STRICT_TOL, anchor_witnesses, check_tolerances, decide_pairs, dominance_mask,
+                       image_dominates, settle)
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
@@ -62,16 +70,37 @@ _CORNER_IDS = ("sup-corner",)
 
 @dataclass(eq=False)
 class Dominator:
+    """A candidate's first dominator under one notion.
+
+    witnesses maps each scenario id of the dominating image to its
+    DominanceWitness.  It is built from the notion's certificate arrays on
+    first read and then cached, so reading candidate or label builds no
+    witness.
+    """
+
     candidate: Candidate
-    witnesses: dict  # scenario id of the dominating image -> DominanceWitness
+    _certificates: "_Certificates" = field(repr=False)
+    _target: int = field(repr=False)  # position of the dominated candidate
+    _witnesses: Optional[dict] = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
         return candidate_label(self.candidate)
 
+    @property
+    def witnesses(self) -> dict:
+        if self._witnesses is None:
+            self._witnesses = self._certificates.witnesses(self._target)
+        return self._witnesses
+
 
 @dataclass(eq=False)
 class CandidateResult:
+    """One candidate's four labels and, for each false one, its Dominator.
+
+    EfficiencyReport.results builds these from the arrays on first read.
+    """
+
     candidate: Candidate
     robust_efficient: bool
     convex_hull_efficient: bool
@@ -94,18 +123,48 @@ class CandidateResult:
 
 @dataclass(eq=False)
 class EfficiencyReport:
-    instance: Instance
-    results: list
+    """classify's labels and certificates, kept as one _Certificates per notion.
 
-    def result_for(self, candidate) -> CandidateResult:
-        cand = self.instance.resolve_candidate(candidate)
-        for r in self.results:
-            if r.candidate == cand:
-                return r
-        raise KeyError(f"candidate {candidate!r} not in report")
+    candidates are in candidate_list() order.  dominator_index and efficient
+    read the arrays alone; results builds one CandidateResult per candidate
+    on first read.
+    """
+
+    instance: Instance
+    candidates: list
+    _certificates: dict = field(repr=False)  # label name -> _Certificates
+
+    def dominator_index(self, kind: str) -> np.ndarray:
+        """Read-only (N,) position in candidates of each candidate's first
+        dominator under kind, -1 where the candidate is efficient."""
+        try:
+            return self._certificates[kind].dominator
+        except KeyError:
+            raise ValueError(f"unknown efficiency notion {kind!r}, expected one of {LABELS}") from None
 
     def efficient(self, kind: str) -> list:
-        return [r.candidate for r in self.results if r.flag(kind)]
+        return [self.candidates[j] for j in np.flatnonzero(self.dominator_index(kind) < 0).tolist()]
+
+    @cached_property
+    def results(self) -> list:
+        notions = list(self._certificates.items())
+        columns = [certificates.dominator.tolist() for _, certificates in notions]
+        results = []
+        for j, (candidate, *doms) in enumerate(zip(self.candidates, *columns)):
+            dominators = {kind: Dominator(self.candidates[i], certificates, j)
+                          for (kind, certificates), i in zip(notions, doms) if i >= 0}
+            results.append(CandidateResult(candidate, *[i < 0 for i in doms], dominators))
+        return results
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {c: j for j, c in enumerate(self.candidates)}
+
+    def result_for(self, candidate) -> CandidateResult:
+        j = self._positions.get(self.instance.resolve_candidate(candidate))
+        if j is None:
+            raise KeyError(f"candidate {candidate!r} not in report")
+        return self.results[j]
 
 
 def pareto_filter_max(img: ObjectiveImage, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> ObjectiveImage:
@@ -139,6 +198,47 @@ def _search_order(candidates) -> np.ndarray:
             rest.append(i)
     vertices.sort()
     return np.array([i for _, i in vertices] + rest, dtype=np.intp)
+
+
+class _Certificates:
+    """One notion's first dominators, filled block by block by _BlockScan.first_dominators.
+
+    dominator[j] is candidate j's first dominator in search order, -1 where
+    j is efficient.  A pair the kernel settles alone keeps decide_pairs'
+    anchor and gap rows in anchor[j] and gap[j]; a pair settled by the LP or
+    found by a walk keeps its witness dict in settled[j].  witnesses(j)
+    builds the point witnesses from the arrays when they are read.
+
+    The targets are the scan's images, or with corners their one-point sup
+    corners.
+    """
+
+    def __init__(self, scan: "_BlockScan", mode: str, corners: bool = False):
+        count, width = scan.stack.shape[:2]
+        self.scan = scan
+        self.mode = mode
+        self.corners = corners
+        self.targets = scan.sup[:, None, :] if corners else scan.stack
+        self.dominator = np.full(count, -1, dtype=np.intp)
+        # read only in rows that first_dominators writes
+        self.anchor = np.empty((count, width), dtype=np.intp)
+        self.gap = np.empty((count, width))
+        self.settled = {}
+
+    def target(self, j: int) -> tuple:
+        """(z, ids): candidate j's target rows without padding, and their ids."""
+        ids = _CORNER_IDS if self.corners else self.scan.images[j].scenario_ids
+        return self.targets[j][:len(ids)], ids
+
+    def witnesses(self, j: int) -> dict:
+        """Scenario id of the dominating image -> witness, for dominated candidate j."""
+        found = self.settled.get(j)
+        if found is not None:
+            return found
+        ids = self.scan.images[self.dominator[j]].scenario_ids
+        rows = len(ids)  # the padded rows repeat the first
+        z, target_ids = self.target(j)
+        return dict(zip(ids, anchor_witnesses(z, target_ids, self.anchor[j, :rows], self.gap[j, :rows], self.mode)))
 
 
 class _BlockScan:
@@ -191,35 +291,43 @@ class _BlockScan:
             alive = box & (self._low <= self._high[js][:, None])
             yield js, box, alive
 
-    def first_dominators(self, js, mask: np.ndarray, mode: str, corners: bool = False) -> list:
-        """Per row b of mask: (i, witnesses) for the first surviving i whose
-        image dominates candidate js[b]'s image (or, with corners, its
-        one-point sup corner), or None.
+    def first_dominators(self, js, mask: np.ndarray, certificates: _Certificates) -> None:
+        """Record in certificates, per row b of mask, the first surviving i
+        whose image dominates candidate js[b]'s target.
 
-        One decide_pairs call decides the first survivor of every row, and
-        geometry.settle builds the witnesses of each kept pair.  A row whose
-        first pair missed, in the kernel or in settle, walks on from the next
-        survivor, one image_dominates call per pair.
+        One decide_pairs call decides the first survivor of every row.  The
+        kept pairs with no LP point are written in one assignment of their
+        anchor and gap rows.  geometry.settle solves the LP points of the
+        other kept pairs, and a row whose first pair missed, in the kernel
+        or in settle, walks on from the next survivor, one image_dominates
+        call per pair.
         """
-        out = [None] * len(js)
         rows = np.flatnonzero(mask.any(axis=1))
         if rows.size == 0:
-            return out
+            return
         ks = mask[rows].argmax(axis=1)
         doms = self.order[ks]
-        targets = self.sup[:, None, :] if corners else self.stack
-        found = decide_pairs(self.stack[doms], targets[js[rows]], mode, self.eq_tol, self.strict_tol)
-        for p, (b, k, i) in enumerate(zip(rows.tolist(), ks.tolist(), doms.tolist())):
-            j = js[b]
-            ids = _CORNER_IDS if corners else self.images[j].scenario_ids
-            z = targets[j][:len(ids)]  # without padding, as settle needs
+        mode = certificates.mode
+        found = decide_pairs(self.stack[doms], certificates.targets[js[rows]], mode, self.eq_tol, self.strict_tol)
+        alone = found.kept & ~found.lp.any(axis=1)
+        if alone.any():
+            done = js[rows[alone]]
+            certificates.dominator[done] = doms[alone]
+            certificates.anchor[done] = found.anchor[alone]
+            certificates.gap[done] = found.gap[alone]
+        for p, (stored, b, k, i) in enumerate(zip(alone.tolist(), rows.tolist(), ks.tolist(), doms.tolist())):
+            if stored:
+                continue
+            j = int(js[b])
+            z, ids = certificates.target(j)
             witnesses = settle(self.images[i].values, z, ids, found, p, mode, self.strict_tol)
             if witnesses is not None:
-                out[b] = i, dict(zip(self.images[i].scenario_ids, witnesses))
-                continue
-            target = ObjectiveImage(self.images[j].candidate, ids, z) if corners else self.images[j]
-            out[b] = self._walk(target, mask[b], k + 1, mode)
-        return out
+                hit = i, dict(zip(self.images[i].scenario_ids, witnesses))
+            else:
+                target = ObjectiveImage(self.images[j].candidate, ids, z) if certificates.corners else self.images[j]
+                hit = self._walk(target, mask[b], k + 1, mode)
+            if hit is not None:
+                certificates.dominator[j], certificates.settled[j] = hit
 
     def _walk(self, target: ObjectiveImage, alive: np.ndarray, start: int, mode: str) -> Optional[tuple]:
         """(i, witnesses) for the first surviving i from column start on whose
@@ -265,30 +373,27 @@ def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STR
 
     scan = _BlockScan(images, vals, order, eq_tol, strict_tol)
     set_scan = _filtered_scan(images, order, eq_tol, strict_tol)
-
-    results = []
+    robust = _Certificates(scan, base_mode)
+    # with scenario_hull both notions run in hull mode and agree
+    hull = robust if base_mode == "hull" else _Certificates(scan, "hull")
+    objectivewise = _Certificates(scan, "plain", corners=True)
+    set_valued = _Certificates(set_scan, base_mode)
     for (js, box, alive), (_, _, set_alive) in zip(scan.blocks(), set_scan.blocks()):
-        robust = scan.first_dominators(js, alive, base_mode)
-        # with scenario_hull both scans run in hull mode and agree
-        hull = robust if base_mode == "hull" else scan.first_dominators(js, alive, "hull")
-        objectivewise = scan.first_dominators(js, box, "plain", corners=True)
-        set_valued = set_scan.first_dominators(js, set_alive, base_mode)
-        for j, *hit in zip(js, robust, hull, objectivewise, set_valued):
-            hits = dict(zip(LABELS, hit))
-            if hits["convex_hull"] is None and hits["robust"] is not None:
-                raise RuntimeError(
-                    f"invariant violated: candidate {candidate_label(cands[j])} is "
-                    "convex-hull efficient but not robust efficient"
-                )
-            results.append(CandidateResult(
-                candidate=cands[j],
-                robust_efficient=hits["robust"] is None,
-                convex_hull_efficient=hits["convex_hull"] is None,
-                objectivewise_efficient=hits["objectivewise"] is None,
-                set_valued_minimizer=hits["set_valued"] is None,
-                dominators={kind: Dominator(cands[h[0]], h[1]) for kind, h in hits.items() if h is not None},
-            ))
-    return EfficiencyReport(instance=instance, results=results)
+        scan.first_dominators(js, alive, robust)
+        if hull is not robust:
+            scan.first_dominators(js, alive, hull)
+        scan.first_dominators(js, box, objectivewise)
+        set_scan.first_dominators(js, set_alive, set_valued)
+    broken = np.flatnonzero((hull.dominator < 0) & (robust.dominator >= 0))
+    if broken.size:
+        raise RuntimeError(
+            f"invariant violated: candidate {candidate_label(cands[broken[0]])} is "
+            "convex-hull efficient but not robust efficient"
+        )
+    notions = dict(zip(LABELS, (robust, hull, objectivewise, set_valued)))
+    for certificates in notions.values():
+        certificates.dominator.flags.writeable = False
+    return EfficiencyReport(instance, cands, notions)
 
 
 def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
@@ -299,5 +404,7 @@ def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
     mode = "hull" if instance.scenario_hull else "plain"
     images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, instance.image_tensor())]
     scan = _filtered_scan(images, _search_order(cands), eq_tol, strict_tol)
-    return [cands[j] for js, _, alive in scan.blocks()
-            for j, hit in zip(js, scan.first_dominators(js, alive, mode)) if hit is None]
+    certificates = _Certificates(scan, mode)
+    for js, _, alive in scan.blocks():
+        scan.first_dominators(js, alive, certificates)
+    return [cands[j] for j in np.flatnonzero(certificates.dominator < 0).tolist()]

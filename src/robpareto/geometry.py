@@ -12,9 +12,12 @@ dominance_mask is the one place the pointwise test is written.
 decide_pairs runs it over stacked image pairs and keeps the pairs that
 every point passes, marking in hull mode the points only the LP can
 settle.  settle is the one place a kept pair becomes certificates: anchor
-witnesses from the kernel, LP witnesses for the marked points.
-image_dominates, dominated_by_point_set and dominated_by_hull are its
-one-pair calls, and classify's scan calls it on each kept pair.
+witnesses from the kernel, built by anchor_witnesses, and LP witnesses for
+the marked points.  image_dominates, dominated_by_point_set and
+dominated_by_hull are its one-pair calls.  classify's scan calls it only on
+the kept pairs with marked points; it stores the kernel's anchor and gap
+rows of the others and builds their witnesses with anchor_witnesses when
+they are read.
 
 signed_distance is the one evaluator of the constructive certificate, the
 oriented distance from points of shape (..., n) to (anchor region) - R^n_+.
@@ -161,10 +164,7 @@ def settle(y, z, ids, found: PairDecisions, p: int, mode: str, strict_tol: float
     if not found.kept[p]:
         return None
     rows = len(y)
-    hull = mode == "hull"
-    witnesses = [None if k < 0 else DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k],
-                                                     weights={ids[k]: 1.0} if hull else None)
-                 for k, g in zip(found.anchor[p, :rows].tolist(), found.gap[p, :rows].tolist())]
+    witnesses = anchor_witnesses(z, ids, found.anchor[p, :rows], found.gap[p, :rows], mode)
     for r in itertools.compress(range(rows), found.lp[p, :rows].tolist()):
         w = _lp_witness(y[r], z, ids, strict_tol)
         if w is not None:
@@ -172,6 +172,20 @@ def settle(y, z, ids, found: PairDecisions, p: int, mode: str, strict_tol: float
         elif witnesses[r] is None:
             return None
     return witnesses
+
+
+def anchor_witnesses(z, ids, anchor, gap, mode: str) -> list:
+    """The point witness of each point from its anchor and gap rows of
+    PairDecisions: anchor k of z (named ids[k]) with weight 1 on it in hull
+    mode, or None where k is -1.
+
+    The one place a point witness is built: settle calls it on each kept
+    pair, and classify's results on each certificate they store as arrays.
+    """
+    hull = mode == "hull"
+    return [None if k < 0 else DominanceWitness(kind="point", point=z[k], gap=g, anchor_id=ids[k],
+                                                weights={ids[k]: 1.0} if hull else None)
+            for k, g in zip(anchor.tolist(), gap.tolist())]
 
 
 def _witnesses(y, z, ids, mode: str, eq_tol: float, strict_tol: float) -> Optional[list]:

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, emitted files."""
 import csv
+import hashlib
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -7,8 +8,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from robpareto.cli import EXIT_INTERNAL, build_parser, main
-from robpareto.core import builtin_instance, load_instance, save_instance
+from robpareto.core import builtin_instance, instance_to_dict, load_instance, save_instance
 from robpareto.linprog import SolverStalledError
+from robpareto.phantom import PhantomConfig, generate
 
 HEADER = (
     "candidate,robust_efficient,convex_hull_efficient,"
@@ -115,6 +117,26 @@ class TestClassify:
             code, from_file, _ = run(capsys, "classify", str(path))
             assert code == 0
             assert from_file == direct
+
+    # sha256 of the CSV as classify wrote it before its certificates became
+    # arrays; a change that moves any label, dominator or label text must
+    # update it on purpose
+    _GOLDEN = {
+        "problem-2 at step 0.025": "104e099150721d6336348dd43ac9ac3c5c60cf75cb104a9a88af97a3712dac28",
+        "phantom at resolution 3": "9449f5492e5e218b660a851a60f5323e59662743b100c14287da251291c263f8",
+    }
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN))
+    def test_csv_matches_golden_digest(self, capsys, tmp_path, case):
+        if case.startswith("problem-2"):
+            argv = ["--builtin", "problem-2", "--step", "0.025"]
+        else:
+            path = tmp_path / "phantom3.json"
+            save_instance(generate(PhantomConfig(lattice_resolution=3)), path)
+            argv = [str(path)]
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self._GOLDEN[case]
 
     def test_near_tie_nesting(self, capsys, tmp_path):
         # B is plain-dominated by A only through the eq_tol slack
@@ -308,6 +330,11 @@ class TestPhantom:
         assert data["n"] == 2
         assert len(data["candidates"]["explicit"]) == 18565
         assert data["scenarios"]["ids"] == ["shift-3", "shift0", "shift3"]
+
+    def test_stdout_is_the_indented_json_dump(self, capsys):
+        code, out, _ = run(capsys, "phantom")
+        assert code == 0
+        assert out == json.dumps(instance_to_dict(generate(PhantomConfig())), indent=2, sort_keys=True) + "\n"
 
     def test_emit_then_reload(self, capsys, tmp_path):
         out_dir = tmp_path / "ph"

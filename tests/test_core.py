@@ -1,4 +1,6 @@
 """Instance model: evaluation, candidate spaces, serialization."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from robpareto.core import (
     candidate_label,
     compositions,
     instance_from_dict,
+    instance_json,
     instance_to_dict,
     load_instance,
     objective_scale,
@@ -22,7 +25,9 @@ from robpareto.core import (
     simplex_point,
     with_step,
 )
-from robpareto.distro import ExpectationConstraint
+from robpareto.distro import ExpectationConstraint, ambiguity_to_dict, to_robust
+from robpareto.phantom import PhantomConfig, generate
+from robpareto.testing import random_ambiguity, random_instance, random_linear_instance
 
 from oracles import recursive_compositions, reference_image
 from strategies import instances
@@ -306,6 +311,54 @@ def test_json_round_trip_builtins(tmp_path):
         save_instance(inst, path)
         again = instance_to_dict(load_instance(path))
         assert again == instance_to_dict(inst)
+
+
+# ids that JSON escapes, that hold a %, and whose sorted order is not their order
+_AWKWARD_IDS = ('z"quote', "a\\back", "%s 100%", "\u00fc", "line\nbreak", "10", "9", "A")
+
+
+def _awkward_instances():
+    sids = _AWKWARD_IDS[::-1]
+    grid = np.arange(len(_AWKWARD_IDS) * len(sids) * 2, dtype=float).reshape(len(_AWKWARD_IDS), len(sids), 2) / 7
+    coords = {sid: [float(k), 1.0 / (k + 1)] for k, sid in enumerate(sids)}
+    return [
+        Instance(n=2, scenarios=ScenarioSet(ids=sids),
+                 objectives=TableObjectives.stacked(_AWKWARD_IDS, sids, grid),
+                 candidates=ExplicitCandidates(_AWKWARD_IDS), name='awk"ward\u00e9'),
+        Instance(n=2, scenarios=ScenarioSet(ids=sids, coords=coords),
+                 objectives=LinearScenarioObjectives({c: [[k, -0.5], [1e-300, 1e300]]
+                                                      for k, c in enumerate(_AWKWARD_IDS)}),
+                 candidates=ExplicitCandidates(_AWKWARD_IDS), scenario_hull=True),
+        Instance(n=2, scenarios=ScenarioSet(ids=sids),
+                 objectives=AffineFamilyObjectives({sid: [[k, 0.1], [2.5, -k]] for k, sid in enumerate(sids)}),
+                 candidates=SimplexCandidates(dim=2, step=0.25)),
+    ]
+
+
+def _json_cases():
+    rng = np.random.default_rng(7)
+    cases = [(generate(PhantomConfig()), None)]
+    for name in ("problem-1", "problem-2"):
+        inst = builtin_instance(name)
+        ambiguity = random_ambiguity(rng, inst.scenarios)
+        cases += [(inst, None), (to_robust(inst, ambiguity), ambiguity_to_dict(ambiguity))]
+    table = random_instance(rng, max_candidates=12)
+    cases += [(to_robust(table, random_ambiguity(rng, table.scenarios)), None), (random_linear_instance(rng), None)]
+    return cases + [(inst, None) for inst in _awkward_instances()]
+
+
+def test_instance_json_is_the_indented_dump(tmp_path):
+    for inst, ambiguity in _json_cases():
+        want = json.dumps(instance_to_dict(inst, ambiguity), indent=2, sort_keys=True) + "\n"
+        assert instance_json(inst, ambiguity) == want, inst.name
+        save_instance(inst, tmp_path / "inst.json", ambiguity)
+        assert (tmp_path / "inst.json").read_text(encoding="utf-8") == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_instance_json_is_the_indented_dump_of_drawn_instances(inst):
+    assert instance_json(inst) == json.dumps(instance_to_dict(inst), indent=2, sort_keys=True) + "\n"
 
 
 def test_round_trip_preserves_image(tmp_path, problem1):

@@ -11,10 +11,13 @@ from robpareto.core import (
     ScenarioSet,
     SimplexCandidates,
     TableObjectives,
+    builtin_instance,
 )
-from robpareto.efficiency import _BlockScan, classify, pareto_filter_max, set_valued_minimizers
-from robpareto.geometry import image_dominates
+from robpareto.cli import classification_csv
+from robpareto.efficiency import LABELS, _BlockScan, classify, pareto_filter_max, set_valued_minimizers
+from robpareto.geometry import DominanceWitness, image_dominates
 from robpareto.linprog import SolverStalledError
+from robpareto.phantom import PhantomConfig, generate
 from robpareto.testing import harness, random_hyperrectangle_values, random_instance
 
 from oracles import pareto_max_filter, pareto_min_filter, reference_classify
@@ -336,6 +339,78 @@ def test_classify_matches_reference_on_tables(inst):
 @given(inst=_lattice_instances())
 def test_classify_matches_reference_on_lattices(inst):
     _assert_matches_reference(inst)
+
+
+def _assert_lazy_witnesses_match_image_dominates(inst):
+    # each witness built on read equals image_dominates' on the images the
+    # notion compares: the images, their Pareto filters or the sup corner
+    cands = inst.candidate_list()
+    images = [ObjectiveImage(c, inst.scenarios.ids, v) for c, v in zip(cands, inst.image_tensor())]
+    position = {c: j for j, c in enumerate(cands)}
+    base = "hull" if inst.scenario_hull else "plain"
+    try:
+        results = classify(inst).results
+    except SolverStalledError:
+        reject()
+    for res, b in zip(results, images):
+        for kind, dom in res.dominators.items():
+            a = images[position[dom.candidate]]
+            mode = "hull" if kind == "convex_hull" else base
+            if kind == "objectivewise":
+                mode, b_kind = "plain", ObjectiveImage(b.candidate, ("sup-corner",), b.values.max(axis=0)[None])
+            elif kind == "set_valued":
+                a, b_kind = pareto_filter_max(a), pareto_filter_max(b)
+            else:
+                b_kind = b
+            want = image_dominates(a, b_kind, mode)
+            assert want is not None, (res.label, kind)
+            assert list(dom.witnesses) == list(want)
+            for sid, w in want.items():
+                g = dom.witnesses[sid]
+                assert (g.kind, g.anchor_id, repr(g.gap), g.weights) == (w.kind, w.anchor_id, repr(w.gap), w.weights)
+                assert g.point.tobytes() == w.point.tobytes()
+
+
+def test_lazy_witnesses_match_on_a_phantom():
+    _assert_lazy_witnesses_match_image_dominates(generate(PhantomConfig(lattice_resolution=3)))
+
+
+def test_lazy_witnesses_match_on_problem2_as_a_hull():
+    p2 = builtin_instance("problem-2")
+    _assert_lazy_witnesses_match_image_dominates(Instance(
+        n=p2.n, scenarios=p2.scenarios, objectives=p2.objectives, candidates=p2.candidates, scenario_hull=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_table_instances())
+def test_lazy_witnesses_match_on_tables(inst):
+    _assert_lazy_witnesses_match_image_dominates(inst)
+
+
+def test_csv_and_counts_build_no_witness(monkeypatch):
+    report = classify(_near_tie_table(150, seed=0, hull=False))
+    built = []
+    init = DominanceWitness.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DominanceWitness, "__init__", counted)
+    classification_csv(report)
+    for kind in LABELS:
+        report.efficient(kind)
+    assert built == []
+    for res in report.results:
+        for dom in res.dominators.values():
+            assert dom.witnesses
+    assert built  # the counter sees the witnesses built on read
+
+
+def test_efficient_rejects_an_unknown_notion(problem1):
+    with pytest.raises(ValueError) as exc:
+        classify(problem1).efficient("foo")
+    assert str(exc.value) == f"unknown efficiency notion 'foo', expected one of {LABELS}"
 
 
 def test_near_tie_plain_dominance_implies_hull_dominance():

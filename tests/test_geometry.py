@@ -128,6 +128,15 @@ class TestHullDominance:
                 assert w.verify(y, EQ_TOL, STRICT_TOL)
 
 
+@pytest.mark.xfail(strict=True, raises=SolverStalledError, reason="lp_solve stalls on this near-tie hull LP")
+def test_hull_improvement_near_tie_does_not_stall():
+    # lp_solve finds its optimal basis violating an inequality row and raises
+    # instead of answering; once it answers, the weights must be convex
+    lam = geometry._hull_improvement(np.array([1.000000001, 0.9999999985]),
+                                     np.array([[1.0, 2.9999999995], [1.000000001, 0.0]]))
+    assert lam is None or abs(lam.sum() - 1.0) < 1e-9
+
+
 def test_hull_falls_back_to_tolerant_point_test():
     # the exact hull path rejects y, the plain test accepts it within eq_tol
     y, anchors = [0.0, 0.0], [[-0.5e-9, 1.5e-9]]
