@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -547,6 +548,7 @@ def _finish(args, run: Run, t0: float) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def build_parser() -> argparse.ArgumentParser:
     # each option sits on exactly the subcommands that read it
     source = argparse.ArgumentParser(add_help=False)

@@ -620,9 +620,16 @@ def _layout(axes, outer: str) -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{outer}{closing}"
 
 
+def _json_typed(value, kind: type, name: str):
+    """value if its JSON type is kind: bool, or int (which excludes bool); ValueError otherwise."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'true or false' if kind is bool else 'an integer'}, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: Mapping) -> Instance:
     try:
-        n = int(data["n"])
+        n = _json_typed(data["n"], int, "n")
         raw_scen = data["scenarios"]
         raw_obj = data["objectives"]
         raw_cand = data["candidates"]
@@ -657,10 +664,11 @@ def instance_from_dict(data: Mapping) -> Instance:
         candidates: CandidateSpace = ExplicitCandidates(raw_cand["explicit"])
     elif "simplex" in raw_cand:
         spx = raw_cand["simplex"]
+        dim = _json_typed(spx["dim"], int, "simplex dim")
         if "points" in spx:
-            candidates = SimplexCandidates(dim=int(spx["dim"]), points=spx["points"])
+            candidates = SimplexCandidates(dim=dim, points=spx["points"])
         else:
-            candidates = SimplexCandidates(dim=int(spx["dim"]), step=float(spx.get("step", DEFAULT_STEP)))
+            candidates = SimplexCandidates(dim=dim, step=float(spx.get("step", DEFAULT_STEP)))
     else:
         raise ValueError("candidates must be 'explicit' or 'simplex'")
 
@@ -669,7 +677,7 @@ def instance_from_dict(data: Mapping) -> Instance:
         scenarios=scenarios,
         objectives=objectives,
         candidates=candidates,
-        scenario_hull=bool(data.get("scenario_hull", False)),
+        scenario_hull=_json_typed(data.get("scenario_hull", False), bool, "scenario_hull"),
         name=data.get("name"),
     )
 

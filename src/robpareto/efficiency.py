@@ -19,32 +19,31 @@ the hull test falls back to the plain point test within eq_tol wherever its
 exact path finds nothing, so plain dominance implies hull dominance by
 construction.  classify still asserts that nesting on every run.
 
-All four notions run one scan, _BlockScan.first_dominators, which decides
-every pair as image_dominates does: robust and convex-hull test the image
-itself, set-valued its filtered image, and objectivewise the one-point
-image of its sup corner.  The scan tests candidates i in search order and
-stops at the first dominator.  It sees only the i that pass two necessary
-conditions, built for _BLOCK candidates j at a time as (block, N) masks:
-the sup-box mask sup_i <= sup_j + eq_tol and a max-sum mask.  Both are
-necessary in floating point, so labels and witnesses do not depend on the
-masks or the blocking.  The set-valued scan builds its own masks from the
-filtered images, and objectivewise uses the sup-box mask alone.
+All four notions run one scan, _BlockScan.first_dominators, over arrays
+alone: a read-only (N, S, n) stack of points, each row padded by
+repeating its first point, and a tuple of scenario ids per row.  Robust
+and convex-hull efficiency scan the image tensor; set-valued scans the
+Pareto filters, gathered from the (N, S) mask of one pareto_filter_max
+call; objectivewise tests the image tensor against the (N, 1, n) sup
+corners.  Every pair is decided as image_dominates decides it, candidates
+i in search order, up to the first dominator.  The scan sees only the i
+that pass two necessary conditions, built for _BLOCK candidates j at a
+time as (block, N) masks: the sup-box mask sup_i <= sup_j + eq_tol and a
+max-sum mask (objectivewise uses the first alone).  Both are necessary
+in floating point, so labels and witnesses do not depend on the masks or
+the blocking.
 
-The first surviving pair of all rows of a block is decided at once, by one
-geometry.decide_pairs call over stacked arrays: the image tensor, the
-filtered images padded to one (N, S, n) array, or the (N, 1, n) sup
-corners.  A kept pair with no point left to the LP is stored as arrays,
-one _Certificates per notion: the dominator's position and each point's
-anchor and gap.  geometry.settle solves the LP points of the other kept
-pairs; a row whose first pair missed walks on, one image_dominates call
-per pair.  No pair is decided twice.  A walk stops after about one pair
-on the phantom, so nearly every pair is decided in the batch.
+One geometry.decide_pairs call decides the first surviving pair of every
+row of a block.  A kept pair with no point left to the LP is stored as
+arrays, one _Certificates per notion: the dominator's position and each
+point's anchor and gap.  geometry.settle solves the LP points of the
+other kept pairs; a row whose first pair missed walks on, one
+image_dominates call per pair on ObjectiveImages built from the two
+rows.  No pair is decided twice.  A walk stops after about one pair on
+the phantom, so nearly every pair is decided in the batch.
 
-Witness objects are built only when read: Dominator.witnesses builds a
-stored pair's point witnesses from its arrays with
-geometry.anchor_witnesses, the same call settle makes, and only LP and
-walked pairs keep witness dicts from the scan.  The CSV, efficient() and
-dominator_index() read the arrays alone.
+Witness objects are built only when read, by Dominator.witnesses; the
+CSV, efficient() and dominator_index() read the arrays alone.
 
 On instances marked scenario_hull the listed scenarios generate a convex
 uncertainty set, the attainable image is the hull of the points, and the
@@ -52,6 +51,7 @@ plain notions coincide with their hull counterparts by construction.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -59,13 +59,12 @@ from typing import Optional
 import numpy as np
 
 from .core import Candidate, Instance, ObjectiveImage, candidate_label
-from .geometry import (EQ_TOL, STRICT_TOL, anchor_witnesses, check_tolerances, decide_pairs, dominance_mask,
-                       image_dominates, settle)
+from .geometry import (_CHUNK, EQ_TOL, STRICT_TOL, anchor_witnesses, check_tolerances, decide_pairs,
+                       dominance_mask, image_dominates, settle)
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
 LABELS = ("robust", "convex_hull", "objectivewise", "set_valued")
-_CORNER_IDS = ("sup-corner",)
 
 
 @dataclass(eq=False)
@@ -167,20 +166,30 @@ class EfficiencyReport:
         return self.results[j]
 
 
-def pareto_filter_max(img: ObjectiveImage, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> ObjectiveImage:
-    """Drop points dominated in the maximization sense (another point >= with a gap).
+def pareto_filter_max(values, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> np.ndarray:
+    """(..., S) mask of the points of each (..., S, n) image that no other
+    point of it dominates in the maximization sense (another point >= with a gap).
 
     Near-ties can put every point below another ([1.000000001, 1] and
     [1, 1.000000001] each clear the other by a rounded 1.00000008e-9 >
     strict_tol); no point is then safely dominated and the image stays whole.
+    Images go through in chunks of bounded memory.
     """
-    vals = img.values
-    # row i, column k: point k sits above point i
-    keep = np.flatnonzero(~dominance_mask(vals, vals, eq_tol, strict_tol).any(axis=1))
-    if keep.size == 0:
-        keep = np.arange(len(vals))
-    ids = tuple(img.scenario_ids[i] for i in keep)
-    return ObjectiveImage(img.candidate, ids, vals[keep])
+    check_tolerances(eq_tol, strict_tol)
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim < 2:
+        raise ValueError(f"values must have shape (..., S, n), got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    images = vals.reshape(-1, *vals.shape[-2:])
+    keep = np.empty(images.shape[:2], dtype=bool)
+    step = max(1, _CHUNK // max(1, images.shape[1] ** 2))
+    for lo in range(0, len(images), step):
+        chunk = images[lo:lo + step]
+        # row i, column k: point k sits above point i
+        keep[lo:lo + step] = ~dominance_mask(chunk, chunk, eq_tol, strict_tol).any(axis=-1)
+    keep[~keep.any(axis=-1)] = True
+    return keep.reshape(vals.shape[:-1])
 
 
 def _search_order(candidates) -> np.ndarray:
@@ -209,16 +218,15 @@ class _Certificates:
     found by a walk keeps its witness dict in settled[j].  witnesses(j)
     builds the point witnesses from the arrays when they are read.
 
-    The targets are the scan's images, or with corners their one-point sup
-    corners.
+    targets is a (stack, ids) pair laid out as the scan's own rows, which it
+    defaults to; row j holds candidate j's target.
     """
 
-    def __init__(self, scan: "_BlockScan", mode: str, corners: bool = False):
+    def __init__(self, scan: "_BlockScan", mode: str, targets: Optional[tuple] = None):
         count, width = scan.stack.shape[:2]
         self.scan = scan
         self.mode = mode
-        self.corners = corners
-        self.targets = scan.sup[:, None, :] if corners else scan.stack
+        self.targets, self.target_ids = targets or (scan.stack, scan.ids)
         self.dominator = np.full(count, -1, dtype=np.intp)
         # read only in rows that first_dominators writes
         self.anchor = np.empty((count, width), dtype=np.intp)
@@ -227,7 +235,7 @@ class _Certificates:
 
     def target(self, j: int) -> tuple:
         """(z, ids): candidate j's target rows without padding, and their ids."""
-        ids = _CORNER_IDS if self.corners else self.scan.images[j].scenario_ids
+        ids = self.target_ids[j]
         return self.targets[j][:len(ids)], ids
 
     def witnesses(self, j: int) -> dict:
@@ -235,7 +243,7 @@ class _Certificates:
         found = self.settled.get(j)
         if found is not None:
             return found
-        ids = self.scan.images[self.dominator[j]].scenario_ids
+        ids = self.scan.ids[self.dominator[j]]
         rows = len(ids)  # the padded rows repeat the first
         z, target_ids = self.target(j)
         return dict(zip(ids, anchor_witnesses(z, target_ids, self.anchor[j, :rows], self.gap[j, :rows], self.mode)))
@@ -244,16 +252,17 @@ class _Certificates:
 class _BlockScan:
     """First-dominator scan over a stack of images, a block of candidates j at a time.
 
-    stack is (N, S, n) and images[i] the ObjectiveImage of row i; a row may
-    repeat its first point as padding (see _padded_stack).  blocks() yields
-    the sup-box and max-sum masks for _BLOCK candidates j at once, with
-    columns in search order, so a scan over the survivors finds the first
-    dominator in search order.
+    Row i of stack holds candidates[i]'s points, named by ids[i] and padded
+    by repeating the first.  blocks() yields the sup-box and max-sum masks
+    for _BLOCK candidates j at once, with columns in search order, so a scan
+    over the survivors finds the first dominator in search order.
     """
 
-    def __init__(self, images, stack: np.ndarray, order: np.ndarray, eq_tol: float, strict_tol: float):
-        self.images = images
+    def __init__(self, stack: np.ndarray, ids: list, candidates: list, order: np.ndarray,
+                 eq_tol: float, strict_tol: float):
         self.stack = stack
+        self.ids = ids
+        self.candidates = candidates
         self.order = order
         self.eq_tol = eq_tol
         self.strict_tol = strict_tol
@@ -280,7 +289,7 @@ class _BlockScan:
     def blocks(self):
         """Yield (js, box, alive): box is the sup-box mask without j itself,
         alive adds the max-sum mask; both (len(js), N) in search order."""
-        count = len(self.images)
+        count = len(self.stack)
         for start in range(0, count, _BLOCK):
             js = np.arange(start, min(start + _BLOCK, count))
             bound = self.sup[js] + self.eq_tol
@@ -293,15 +302,9 @@ class _BlockScan:
 
     def first_dominators(self, js, mask: np.ndarray, certificates: _Certificates) -> None:
         """Record in certificates, per row b of mask, the first surviving i
-        whose image dominates candidate js[b]'s target.
-
-        One decide_pairs call decides the first survivor of every row.  The
-        kept pairs with no LP point are written in one assignment of their
-        anchor and gap rows.  geometry.settle solves the LP points of the
-        other kept pairs, and a row whose first pair missed, in the kernel
-        or in settle, walks on from the next survivor, one image_dominates
-        call per pair.
-        """
+        whose image dominates candidate js[b]'s target.  The kept pairs with
+        no LP point are written in one assignment of their anchor and gap rows;
+        a row whose first pair missed, in the kernel or in settle, walks on."""
         rows = np.flatnonzero(mask.any(axis=1))
         if rows.size == 0:
             return
@@ -320,63 +323,53 @@ class _BlockScan:
                 continue
             j = int(js[b])
             z, ids = certificates.target(j)
-            witnesses = settle(self.images[i].values, z, ids, found, p, mode, self.strict_tol)
+            witnesses = settle(self.stack[i, :len(self.ids[i])], z, ids, found, p, mode, self.strict_tol)
             if witnesses is not None:
-                hit = i, dict(zip(self.images[i].scenario_ids, witnesses))
+                hit = i, dict(zip(self.ids[i], witnesses))
             else:
-                target = ObjectiveImage(self.images[j].candidate, ids, z) if certificates.corners else self.images[j]
-                hit = self._walk(target, mask[b], k + 1, mode)
+                hit = self._walk(ObjectiveImage(self.candidates[j], ids, z), mask[b], k + 1, mode)
             if hit is not None:
                 certificates.dominator[j], certificates.settled[j] = hit
 
     def _walk(self, target: ObjectiveImage, alive: np.ndarray, start: int, mode: str) -> Optional[tuple]:
-        """(i, witnesses) for the first surviving i from column start on whose
-        image dominates target, or None."""
+        """(i, witnesses): the first surviving i from column start on whose image dominates target, or None."""
         for k in np.flatnonzero(alive[start:]) + start:
             i = int(self.order[k])
-            w = image_dominates(self.images[i], target, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
+            image = ObjectiveImage(self.candidates[i], self.ids[i], self.stack[i, :len(self.ids[i])])
+            w = image_dominates(image, target, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
             if w is not None:
                 return i, w
         return None
 
 
-def _padded_stack(images) -> np.ndarray:
-    """The images' values as one read-only (N, longest, n) array, each short
-    image padded by repeating its first point.
-
-    A repeated point of a dominator is decided as its original, and a
-    repeated anchor comes after its original, so padding changes no pair
-    decision and no first hit; sup, max-sum and size are unchanged too.
-    """
-    counts = np.array([len(img) for img in images])
-    flat = np.concatenate([img.values for img in images])
-    pos = np.arange(counts.max())
-    stack = flat[(np.cumsum(counts) - counts)[:, None] + np.where(pos < counts[:, None], pos, 0)]
-    stack.flags.writeable = False
-    return stack
-
-
-def _filtered_scan(images, order: np.ndarray, eq_tol: float, strict_tol: float) -> _BlockScan:
-    """Scan over the Pareto-filtered images, stacked by _padded_stack."""
-    filtered = [pareto_filter_max(img, eq_tol, strict_tol) for img in images]
-    return _BlockScan(filtered, _padded_stack(filtered), order, eq_tol, strict_tol)
+def _scans(instance: Instance, eq_tol: float, strict_tol: float) -> tuple:
+    """(candidates, base mode, scan over the images, scan over their Pareto filters)."""
+    cands = instance.candidate_list()
+    vals = instance.image_tensor()
+    keep = pareto_filter_max(vals, eq_tol, strict_tol)
+    sids = instance.scenarios.ids
+    order = _search_order(cands)
+    # Each row's kept points, in scenario order, padded by repeating the
+    # first.  A repeated point of a dominator is decided as its original,
+    # and a repeated anchor comes after its original, so padding changes no
+    # pair decision and no first hit; sup, max-sum and size are unchanged too.
+    pos = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+    pos = np.where(np.take_along_axis(keep, pos, axis=1), pos, pos[:, :1])
+    kept = np.take_along_axis(vals, pos[..., None], axis=1)
+    kept.flags.writeable = False
+    kept_ids = [tuple(itertools.compress(sids, row)) for row in keep.tolist()]
+    scan = _BlockScan(vals, [sids] * len(cands), cands, order, eq_tol, strict_tol)
+    set_scan = _BlockScan(kept, kept_ids, cands, order, eq_tol, strict_tol)
+    return cands, "hull" if instance.scenario_hull else "plain", scan, set_scan
 
 
 def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
     """Label every candidate, with re-verifiable dominator certificates."""
-    check_tolerances(eq_tol, strict_tol)
-    cands = instance.candidate_list()
-    vals = instance.image_tensor()
-    images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, vals)]
-    order = _search_order(cands)
-    base_mode = "hull" if instance.scenario_hull else "plain"
-
-    scan = _BlockScan(images, vals, order, eq_tol, strict_tol)
-    set_scan = _filtered_scan(images, order, eq_tol, strict_tol)
+    cands, base_mode, scan, set_scan = _scans(instance, eq_tol, strict_tol)
     robust = _Certificates(scan, base_mode)
     # with scenario_hull both notions run in hull mode and agree
     hull = robust if base_mode == "hull" else _Certificates(scan, "hull")
-    objectivewise = _Certificates(scan, "plain", corners=True)
+    objectivewise = _Certificates(scan, "plain", (scan.sup[:, None, :], [("sup-corner",)] * len(cands)))
     set_valued = _Certificates(set_scan, base_mode)
     for (js, box, alive), (_, _, set_alive) in zip(scan.blocks(), set_scan.blocks()):
         scan.first_dominators(js, alive, robust)
@@ -399,11 +392,7 @@ def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STR
 def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
                           strict_tol: float = STRICT_TOL) -> list:
     """Candidates whose filtered image is minimal under the set order."""
-    check_tolerances(eq_tol, strict_tol)
-    cands = instance.candidate_list()
-    mode = "hull" if instance.scenario_hull else "plain"
-    images = [ObjectiveImage(c, instance.scenarios.ids, v) for c, v in zip(cands, instance.image_tensor())]
-    scan = _filtered_scan(images, _search_order(cands), eq_tol, strict_tol)
+    cands, mode, _, scan = _scans(instance, eq_tol, strict_tol)
     certificates = _Certificates(scan, mode)
     for js, _, alive in scan.blocks():
         scan.first_dominators(js, alive, certificates)

@@ -66,6 +66,12 @@ _MALFORMED = {
     "simplex points as strings": {"n": 2, "scenarios": {"ids": ["1"]},
                                   "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
                                   "candidates": {"simplex": {"dim": 2, "points": ["01", "10"]}}},
+    "n not an integer": {**_table_file({"a": _ROW, "b": _ROW}), "n": 2.7},
+    "n a boolean": {**_table_file({"a": _ROW, "b": _ROW}), "n": True},
+    "simplex dim not an integer": {"n": 2, "scenarios": {"ids": ["1"]},
+                                   "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
+                                   "candidates": {"simplex": {"dim": 2.9, "step": 0.5}}},
+    "scenario_hull a string": {**_table_file({"a": _ROW, "b": _ROW}), "scenario_hull": "false"},
 }
 
 # which subcommands read which option; every other pair is a usage error
@@ -531,6 +537,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "classify", str(path), "--builtin", "problem-1")
         assert code == 2
 
+
+
+def test_repeated_main_calls_in_one_process_agree(capsys):
+    # the parser is built once and shared, so no call may see another's options
+    calls = [("classify", "--builtin", "problem-1", "--eq-tol", "1e-6"), ("report", "--random", "1", "--seed", "3"),
+             ("classify", "--builtin", "problem-1")]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert build_parser() is build_parser()
 
 
 class TestOptionSurface:

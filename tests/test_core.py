@@ -385,6 +385,22 @@ def test_from_dict_errors():
         instance_from_dict(bad)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("n",), 2.7, "^n must be an integer, got 2.7$"),
+    (("n",), True, "^n must be an integer, got True$"),
+    (("candidates", "simplex", "dim"), 2.9, "^simplex dim must be an integer, got 2.9$"),
+    (("scenario_hull",), "false", "^scenario_hull must be true or false, got 'false'$"),
+])
+def test_from_dict_requires_json_types(path, value, message):
+    data = json.loads(instance_json(builtin_instance("problem-2")))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        instance_from_dict(data)
+
+
 def test_builtin_registry():
     with pytest.raises(KeyError):
         builtin_instance("problem-9")

@@ -1,4 +1,6 @@
 """Candidate classification across the four efficiency notions."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -14,6 +16,7 @@ from robpareto.core import (
     builtin_instance,
 )
 from robpareto.cli import classification_csv
+from robpareto import efficiency
 from robpareto.efficiency import LABELS, _BlockScan, classify, pareto_filter_max, set_valued_minimizers
 from robpareto.geometry import DominanceWitness, image_dominates
 from robpareto.linprog import SolverStalledError
@@ -77,17 +80,40 @@ def test_report_accessors(problem1):
 
 
 def test_pareto_filter_max_examples():
-    img = ObjectiveImage("x", ("1", "2", "3"), np.array([[1.0, 4.0], [1.0, 1.0], [4.0, 1.0]]))
-    kept = pareto_filter_max(img)
-    assert kept.scenario_ids == ("1", "3")
-    np.testing.assert_allclose(kept.values, [[1, 4], [4, 1]])
+    img = [[1.0, 4.0], [1.0, 1.0], [4.0, 1.0]]
+    assert pareto_filter_max(img).tolist() == [True, False, True]
+    assert pareto_filter_max([[2.0, 7.0]]).tolist() == [True]
+    img2 = [[0.0, 2.0], [2.0, 2.0], [2.0, 0.0]]
+    assert pareto_filter_max(img2).tolist() == [False, True, False]
+    # a stack filters each image on its own
+    assert pareto_filter_max([img, img2]).tolist() == [[True, False, True], [False, True, False]]
+    assert pareto_filter_max(np.zeros((2, 3, 4, 1))).shape == (2, 3, 4)
 
-    single = ObjectiveImage("x", ("1",), np.array([[2.0, 7.0]]))
-    assert pareto_filter_max(single).scenario_ids == ("1",)
 
-    img2 = ObjectiveImage("x", ("1", "2", "3"), np.array([[0.0, 2.0], [2.0, 2.0], [2.0, 0.0]]))
-    kept2 = pareto_filter_max(img2)
-    np.testing.assert_allclose(kept2.values, [[2, 2]])
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 2.0], r"^values must have shape \(\.\.\., S, n\), got shape \(2,\)$"),
+    ([[1.0, np.nan]], "^values must be finite$"),
+    ([[[1.0, np.inf]]], "^values must be finite$"),
+])
+def test_pareto_filter_max_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        pareto_filter_max(values)
+
+
+@pytest.mark.parametrize("name", ["eq_tol", "strict_tol"])
+def test_pareto_filter_max_rejects_bad_tolerances(name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got -1.0$"):
+        pareto_filter_max([[1.0, 2.0]], **{name: -1.0})
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 100])
+def test_pareto_filter_max_chunks_agree(monkeypatch, chunk):
+    # 150 images of 3 points (9 pairs each): chunks of 1, 2 and 11 images
+    vals = _near_tie_table(150, seed=0, hull=False).image_tensor()
+    whole = pareto_filter_max(vals)
+    monkeypatch.setattr(efficiency, "_CHUNK", chunk)
+    assert np.array_equal(pareto_filter_max(vals), whole)
+    assert [pareto_max_filter(v) for v in vals] == [np.flatnonzero(k).tolist() for k in whole]
 
 
 def test_single_candidate_vacuously_efficient():
@@ -293,7 +319,8 @@ def test_block_masks_keep_every_dominator(values):
     sids = tuple(f"s{k}" for k in range(len(values[0])))
     images = [ObjectiveImage(f"c{i}", sids, v) for i, v in enumerate(values)]
     order = np.arange(len(images))[::-1]
-    scan = _BlockScan(images, np.array([img.values for img in images]), order, 1e-9, 1e-9)
+    scan = _BlockScan(np.array(values, dtype=float), [sids] * len(images), [img.candidate for img in images],
+                      order, 1e-9, 1e-9)
     for js, box, alive in scan.blocks():
         for b, j in enumerate(js):
             for k, i in enumerate(order):
@@ -341,6 +368,11 @@ def test_classify_matches_reference_on_lattices(inst):
     _assert_matches_reference(inst)
 
 
+def _filtered(img):
+    keep = pareto_filter_max(img.values)
+    return ObjectiveImage(img.candidate, [s for s, k in zip(img.scenario_ids, keep) if k], img.values[keep])
+
+
 def _assert_lazy_witnesses_match_image_dominates(inst):
     # each witness built on read equals image_dominates' on the images the
     # notion compares: the images, their Pareto filters or the sup corner
@@ -359,7 +391,7 @@ def _assert_lazy_witnesses_match_image_dominates(inst):
             if kind == "objectivewise":
                 mode, b_kind = "plain", ObjectiveImage(b.candidate, ("sup-corner",), b.values.max(axis=0)[None])
             elif kind == "set_valued":
-                a, b_kind = pareto_filter_max(a), pareto_filter_max(b)
+                a, b_kind = _filtered(a), _filtered(b)
             else:
                 b_kind = b
             want = image_dominates(a, b_kind, mode)
@@ -434,33 +466,55 @@ _CYCLIC_PAIR = [[1.000000001, 1.0], [1.0, 1.000000001]]
 
 def test_pareto_filter_keeps_the_whole_image_when_every_point_sits_below_another():
     for vals in (_CYCLIC_PAIR, _CYCLIC_PAIR + [[0.0, 0.0]]):
-        sids = tuple(f"s{k}" for k in range(len(vals)))
-        kept = pareto_filter_max(ObjectiveImage("x", sids, vals))
-        assert kept.scenario_ids == sids
-        assert kept.values.tobytes() == np.asarray(vals).tobytes()
+        assert pareto_filter_max(vals).all()
         assert pareto_max_filter(vals) == list(range(len(vals)))
+    # kept whole inside a stack too, next to an image that drops a point
+    assert pareto_filter_max([_CYCLIC_PAIR + [[0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]]).tolist() == [
+        [True, True, True], [False, True, False]]
 
 
 def test_pareto_filter_drops_the_cycle_below_a_survivor():
     vals = [[2.0, 2.0]] + _CYCLIC_PAIR
-    assert pareto_filter_max(ObjectiveImage("x", ("t", "a", "b"), vals)).scenario_ids == ("t",)
+    assert pareto_filter_max(vals).tolist() == [True, False, False]
     assert pareto_max_filter(vals) == [0]
 
 
 @st.composite
-def _near_tie_points(draw):
+def _near_tie_stacks(draw):
+    """(images, points, n) stacks of near-tie points."""
     n = draw(st.integers(1, 3))
     count = draw(st.integers(1, 5))
-    return [[draw(st.integers(0, 1)) + draw(_NEAR_TIE) for _ in range(n)] for _ in range(count)]
+    return [[[draw(st.integers(0, 1)) + draw(_NEAR_TIE) for _ in range(n)] for _ in range(count)]
+            for _ in range(draw(st.integers(1, 4)))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(points=_near_tie_points())
-def test_pareto_filter_is_never_empty_and_matches_oracle(points):
-    sids = tuple(f"s{k}" for k in range(len(points)))
-    kept = pareto_filter_max(ObjectiveImage("x", sids, points))
-    assert len(kept) >= 1
-    assert [sids.index(s) for s in kept.scenario_ids] == pareto_max_filter(points)
+@given(stack=_near_tie_stacks())
+def test_pareto_filter_is_never_empty_and_matches_oracle(stack):
+    keep = pareto_filter_max(stack)
+    assert keep.any(axis=1).all()
+    assert [np.flatnonzero(k).tolist() for k in keep] == [pareto_max_filter(points) for points in stack]
+
+
+def test_classify_filters_once_and_builds_images_only_for_walks(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    inst = _near_tie_table(150, seed=0, hull=True)
+    monkeypatch.setattr(efficiency, "pareto_filter_max", counted("filter", pareto_filter_max))
+    monkeypatch.setattr(efficiency, "image_dominates", counted("pairs", image_dominates))
+    monkeypatch.setattr(_BlockScan, "_walk", counted("walks", _BlockScan._walk))
+    monkeypatch.setattr(ObjectiveImage, "__post_init__", counted("images", ObjectiveImage.__post_init__))
+    classify(inst)
+    assert calls["filter"] == 1
+    assert calls["pairs"] > 0
+    # each walk builds its target, and each walked pair its dominator
+    assert calls["images"] == calls["walks"] + calls["pairs"]
 
 
 def test_cyclic_near_tie_image_classifies():

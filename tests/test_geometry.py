@@ -19,7 +19,6 @@ from robpareto.geometry import (
     settle,
     signed_distance,
 )
-from robpareto.efficiency import _padded_stack
 from robpareto.linprog import SolverStalledError, lp_solve
 
 from oracles import (
@@ -417,6 +416,14 @@ def test_hull_distance_matches_highs(query):
 # perturbations at the eq_tol / strict_tol scale put ties on both sides of
 # every tolerance comparison
 _NEAR_TIE = st.sampled_from([0.0, 0.0, -1.5e-9, -1e-9, -0.5e-9, 0.5e-9, 1e-9, 1.5e-9])
+
+
+def _padded_stack(images):
+    """The images' values as one (P, longest, n) array, each short image
+    padded by repeating its first point, as classify pads its filtered images."""
+    width = max(len(img) for img in images)
+    return np.stack([np.concatenate([img.values, np.repeat(img.values[:1], width - len(img), axis=0)])
+                     for img in images])
 
 
 @st.composite
