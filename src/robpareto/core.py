@@ -620,10 +620,15 @@ def _layout(axes, outer: str) -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{outer}{closing}"
 
 
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _json_typed(value, kind: type, name: str):
-    """value if its JSON type is kind: bool, or int (which excludes bool); ValueError otherwise."""
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        raise ValueError(f"{name} must be {'true or false' if kind is bool else 'an integer'}, got {value!r}")
+    """value if its JSON type is kind: bool, int or float (any number), where
+    neither number kind takes a bool; ValueError otherwise."""
+    types, expected = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
     return value
 
 
@@ -668,17 +673,21 @@ def instance_from_dict(data: Mapping) -> Instance:
         if "points" in spx:
             candidates = SimplexCandidates(dim=dim, points=spx["points"])
         else:
-            candidates = SimplexCandidates(dim=dim, step=float(spx.get("step", DEFAULT_STEP)))
+            step = _json_typed(spx.get("step", DEFAULT_STEP), float, "simplex step")
+            candidates = SimplexCandidates(dim=dim, step=float(step))
     else:
         raise ValueError("candidates must be 'explicit' or 'simplex'")
 
+    name = data.get("name")
+    if not isinstance(name, (str, type(None))):
+        raise ValueError(f"name must be a string or null, got {name!r}")
     return Instance(
         n=n,
         scenarios=scenarios,
         objectives=objectives,
         candidates=candidates,
         scenario_hull=_json_typed(data.get("scenario_hull", False), bool, "scenario_hull"),
-        name=data.get("name"),
+        name=name,
     )
 
 

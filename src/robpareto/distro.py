@@ -28,6 +28,7 @@ from .core import (
     SimplexCandidates,
     TableObjectives,
     _image_values,
+    _json_typed,
 )
 from .efficiency import classify
 
@@ -161,5 +162,5 @@ def ambiguity_from_dict(data, scenarios: ScenarioSet) -> AmbiguitySet:
     return AmbiguitySet(
         support=scenarios,
         distributions=tuple(tuple(pi) for pi in data["distributions"]),
-        convex_closure=bool(data.get("convex_closure", False)),
+        convex_closure=_json_typed(data.get("convex_closure", False), bool, "convex_closure"),
     )

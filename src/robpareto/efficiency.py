@@ -33,14 +33,16 @@ max-sum mask (objectivewise uses the first alone).  Both are necessary
 in floating point, so labels and witnesses do not depend on the masks or
 the blocking.
 
-One geometry.decide_pairs call decides the first surviving pair of every
-row of a block.  A kept pair with no point left to the LP is stored as
-arrays, one _Certificates per notion: the dominator's position and each
-point's anchor and gap.  geometry.settle solves the LP points of the
-other kept pairs; a row whose first pair missed walks on, one
-image_dominates call per pair on ObjectiveImages built from the two
-rows.  No pair is decided twice.  A walk stops after about one pair on
-the phantom, so nearly every pair is decided in the batch.
+The scan decides pairs in rounds: one geometry.decide_pairs call decides
+the current surviving pair of every open row of a block.  A kept pair
+with no point left to the LP is stored as arrays, one _Certificates per
+notion: the dominator's position and each point's anchor and gap.
+geometry.settle solves the LP points of the other kept pairs and stores
+their witnesses.  A row whose pair missed, in the kernel or in settle,
+moves on to its next surviving column for the next round, and a row with
+none left is efficient.  No pair is decided twice, and the rounds decide
+each row's pairs in search order.  On the phantom nearly every row hits
+in the first round.
 
 Witness objects are built only when read, by Dominator.witnesses; the
 CSV, efficient() and dominator_index() read the arrays alone.
@@ -58,9 +60,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Instance, ObjectiveImage, candidate_label
+from .core import Candidate, Instance, candidate_label
 from .geometry import (_CHUNK, EQ_TOL, STRICT_TOL, anchor_witnesses, check_tolerances, decide_pairs,
-                       dominance_mask, image_dominates, settle)
+                       dominance_mask, settle)
 
 _BLOCK = 64  # candidates per precheck block; masks are (_BLOCK, N), never N x N
 
@@ -214,9 +216,9 @@ class _Certificates:
 
     dominator[j] is candidate j's first dominator in search order, -1 where
     j is efficient.  A pair the kernel settles alone keeps decide_pairs'
-    anchor and gap rows in anchor[j] and gap[j]; a pair settled by the LP or
-    found by a walk keeps its witness dict in settled[j].  witnesses(j)
-    builds the point witnesses from the arrays when they are read.
+    anchor and gap rows in anchor[j] and gap[j]; a pair settled by the LP
+    keeps its witness dict in settled[j].  witnesses(j) builds the point
+    witnesses from the arrays when they are read.
 
     targets is a (stack, ids) pair laid out as the scan's own rows, which it
     defaults to; row j holds candidate j's target.
@@ -258,11 +260,9 @@ class _BlockScan:
     over the survivors finds the first dominator in search order.
     """
 
-    def __init__(self, stack: np.ndarray, ids: list, candidates: list, order: np.ndarray,
-                 eq_tol: float, strict_tol: float):
+    def __init__(self, stack: np.ndarray, ids: list, order: np.ndarray, eq_tol: float, strict_tol: float):
         self.stack = stack
         self.ids = ids
-        self.candidates = candidates
         self.order = order
         self.eq_tol = eq_tol
         self.strict_tol = strict_tol
@@ -302,48 +302,39 @@ class _BlockScan:
 
     def first_dominators(self, js, mask: np.ndarray, certificates: _Certificates) -> None:
         """Record in certificates, per row b of mask, the first surviving i
-        whose image dominates candidate js[b]'s target.  The kept pairs with
-        no LP point are written in one assignment of their anchor and gap rows;
-        a row whose first pair missed, in the kernel or in settle, walks on."""
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size == 0:
-            return
-        ks = mask[rows].argmax(axis=1)
-        doms = self.order[ks]
+        whose image dominates candidate js[b]'s target.
+
+        Each round decides the current pair of every open row in one
+        decide_pairs call: kept pairs with no LP point are written as their
+        anchor and gap rows, the other kept pairs go through settle, and a
+        row that missed moves on to its next surviving column."""
         mode = certificates.mode
-        found = decide_pairs(self.stack[doms], certificates.targets[js[rows]], mode, self.eq_tol, self.strict_tol)
-        alone = found.kept & ~found.lp.any(axis=1)
-        if alone.any():
-            done = js[rows[alone]]
-            certificates.dominator[done] = doms[alone]
-            certificates.anchor[done] = found.anchor[alone]
-            certificates.gap[done] = found.gap[alone]
-        for p, (stored, b, k, i) in enumerate(zip(alone.tolist(), rows.tolist(), ks.tolist(), doms.tolist())):
-            if stored:
-                continue
-            j = int(js[b])
-            z, ids = certificates.target(j)
-            witnesses = settle(self.stack[i, :len(self.ids[i])], z, ids, found, p, mode, self.strict_tol)
-            if witnesses is not None:
-                hit = i, dict(zip(self.ids[i], witnesses))
-            else:
-                hit = self._walk(ObjectiveImage(self.candidates[j], ids, z), mask[b], k + 1, mode)
-            if hit is not None:
-                certificates.dominator[j], certificates.settled[j] = hit
-
-    def _walk(self, target: ObjectiveImage, alive: np.ndarray, start: int, mode: str) -> Optional[tuple]:
-        """(i, witnesses): the first surviving i from column start on whose image dominates target, or None."""
-        for k in np.flatnonzero(alive[start:]) + start:
-            i = int(self.order[k])
-            image = ObjectiveImage(self.candidates[i], self.ids[i], self.stack[i, :len(self.ids[i])])
-            w = image_dominates(image, target, mode, eq_tol=self.eq_tol, strict_tol=self.strict_tol)
-            if w is not None:
-                return i, w
-        return None
+        rows = np.flatnonzero(mask.any(axis=1))
+        ks = mask[rows].argmax(axis=1)
+        while rows.size:
+            doms = self.order[ks]
+            found = decide_pairs(self.stack[doms], certificates.targets[js[rows]], mode, self.eq_tol, self.strict_tol)
+            hit = found.kept & ~found.lp.any(axis=1)
+            done = js[rows[hit]]
+            certificates.dominator[done] = doms[hit]
+            certificates.anchor[done] = found.anchor[hit]
+            certificates.gap[done] = found.gap[hit]
+            for p in np.flatnonzero(found.kept & ~hit).tolist():
+                i, j = int(doms[p]), int(js[rows[p]])
+                z, ids = certificates.target(j)
+                witnesses = settle(self.stack[i, :len(self.ids[i])], z, ids, found, p, mode, self.strict_tol)
+                if witnesses is not None:
+                    hit[p] = True
+                    certificates.dominator[j] = i
+                    certificates.settled[j] = dict(zip(self.ids[i], witnesses))
+            rows, ks = rows[~hit], ks[~hit]
+            later = mask[rows] & (np.arange(mask.shape[1]) > ks[:, None])
+            left = later.any(axis=1)
+            rows, ks = rows[left], later[left].argmax(axis=1)
 
 
-def _scans(instance: Instance, eq_tol: float, strict_tol: float) -> tuple:
-    """(candidates, base mode, scan over the images, scan over their Pareto filters)."""
+def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
+    """Label every candidate, with re-verifiable dominator certificates."""
     cands = instance.candidate_list()
     vals = instance.image_tensor()
     keep = pareto_filter_max(vals, eq_tol, strict_tol)
@@ -358,14 +349,9 @@ def _scans(instance: Instance, eq_tol: float, strict_tol: float) -> tuple:
     kept = np.take_along_axis(vals, pos[..., None], axis=1)
     kept.flags.writeable = False
     kept_ids = [tuple(itertools.compress(sids, row)) for row in keep.tolist()]
-    scan = _BlockScan(vals, [sids] * len(cands), cands, order, eq_tol, strict_tol)
-    set_scan = _BlockScan(kept, kept_ids, cands, order, eq_tol, strict_tol)
-    return cands, "hull" if instance.scenario_hull else "plain", scan, set_scan
-
-
-def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STRICT_TOL) -> EfficiencyReport:
-    """Label every candidate, with re-verifiable dominator certificates."""
-    cands, base_mode, scan, set_scan = _scans(instance, eq_tol, strict_tol)
+    scan = _BlockScan(vals, [sids] * len(cands), order, eq_tol, strict_tol)
+    set_scan = _BlockScan(kept, kept_ids, order, eq_tol, strict_tol)
+    base_mode = "hull" if instance.scenario_hull else "plain"
     robust = _Certificates(scan, base_mode)
     # with scenario_hull both notions run in hull mode and agree
     hull = robust if base_mode == "hull" else _Certificates(scan, "hull")
@@ -392,8 +378,4 @@ def classify(instance: Instance, eq_tol: float = EQ_TOL, strict_tol: float = STR
 def set_valued_minimizers(instance: Instance, eq_tol: float = EQ_TOL,
                           strict_tol: float = STRICT_TOL) -> list:
     """Candidates whose filtered image is minimal under the set order."""
-    cands, mode, _, scan = _scans(instance, eq_tol, strict_tol)
-    certificates = _Certificates(scan, mode)
-    for js, _, alive in scan.blocks():
-        scan.first_dominators(js, alive, certificates)
-    return [cands[j] for j in np.flatnonzero(certificates.dominator < 0).tolist()]
+    return classify(instance, eq_tol, strict_tol).efficient("set_valued")

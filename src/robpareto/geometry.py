@@ -14,10 +14,11 @@ every point passes, marking in hull mode the points only the LP can
 settle.  settle is the one place a kept pair becomes certificates: anchor
 witnesses from the kernel, built by anchor_witnesses, and LP witnesses for
 the marked points.  image_dominates, dominated_by_point_set and
-dominated_by_hull are its one-pair calls.  classify's scan calls it only on
-the kept pairs with marked points; it stores the kernel's anchor and gap
-rows of the others and builds their witnesses with anchor_witnesses when
-they are read.
+dominated_by_hull are its one-pair calls.  classify's scan decides every
+pair it tests in batched decide_pairs rounds and calls settle only on the
+kept pairs with marked points; it stores the kernel's anchor and gap rows
+of the others and builds their witnesses with anchor_witnesses when they
+are read.
 
 signed_distance is the one evaluator of the constructive certificate, the
 oriented distance from points of shape (..., n) to (anchor region) - R^n_+.

@@ -72,6 +72,13 @@ _MALFORMED = {
                                    "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
                                    "candidates": {"simplex": {"dim": 2.9, "step": 0.5}}},
     "scenario_hull a string": {**_table_file({"a": _ROW, "b": _ROW}), "scenario_hull": "false"},
+    "simplex step a boolean": {"n": 2, "scenarios": {"ids": ["1"]},
+                               "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
+                               "candidates": {"simplex": {"dim": 2, "step": True}}},
+    "simplex step a string": {"n": 2, "scenarios": {"ids": ["1"]},
+                              "objectives": {"affine_family": {"1": [[0, 1], [2, 4]]}},
+                              "candidates": {"simplex": {"dim": 2, "step": "0.5"}}},
+    "name not a string": {**_table_file({"a": _ROW, "b": _ROW}), "name": 7},
 }
 
 # which subcommands read which option; every other pair is a usage error

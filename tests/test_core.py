@@ -390,6 +390,9 @@ def test_from_dict_errors():
     (("n",), True, "^n must be an integer, got True$"),
     (("candidates", "simplex", "dim"), 2.9, "^simplex dim must be an integer, got 2.9$"),
     (("scenario_hull",), "false", "^scenario_hull must be true or false, got 'false'$"),
+    (("candidates", "simplex", "step"), True, "^simplex step must be a number, got True$"),
+    (("candidates", "simplex", "step"), "0.5", "^simplex step must be a number, got '0.5'$"),
+    (("name",), 7, "^name must be a string or null, got 7$"),
 ])
 def test_from_dict_requires_json_types(path, value, message):
     data = json.loads(instance_json(builtin_instance("problem-2")))

@@ -173,3 +173,10 @@ def test_ambiguity_dict_round_trip(problem1):
     again = ambiguity_from_dict(data, problem1.scenarios)
     assert again.convex_closure
     np.testing.assert_allclose(np.array(again.distributions), np.array(amb.distributions))
+
+
+def test_ambiguity_from_dict_requires_a_boolean_closure(problem1):
+    data = {"distributions": [[0.2, 0.5, 0.3]], "convex_closure": "false"}
+    with pytest.raises(ValueError, match="^convex_closure must be true or false, got 'false'$"):
+        ambiguity_from_dict(data, problem1.scenarios)
+    assert not ambiguity_from_dict({"distributions": [[0.2, 0.5, 0.3]]}, problem1.scenarios).convex_closure

@@ -16,9 +16,9 @@ from robpareto.core import (
     builtin_instance,
 )
 from robpareto.cli import classification_csv
-from robpareto import efficiency
+from robpareto import efficiency, geometry
 from robpareto.efficiency import LABELS, _BlockScan, classify, pareto_filter_max, set_valued_minimizers
-from robpareto.geometry import DominanceWitness, image_dominates
+from robpareto.geometry import DominanceWitness, decide_pairs, image_dominates, settle
 from robpareto.linprog import SolverStalledError
 from robpareto.phantom import PhantomConfig, generate
 from robpareto.testing import harness, random_hyperrectangle_values, random_instance
@@ -319,8 +319,7 @@ def test_block_masks_keep_every_dominator(values):
     sids = tuple(f"s{k}" for k in range(len(values[0])))
     images = [ObjectiveImage(f"c{i}", sids, v) for i, v in enumerate(values)]
     order = np.arange(len(images))[::-1]
-    scan = _BlockScan(np.array(values, dtype=float), [sids] * len(images), [img.candidate for img in images],
-                      order, 1e-9, 1e-9)
+    scan = _BlockScan(np.array(values, dtype=float), [sids] * len(images), order, 1e-9, 1e-9)
     for js, box, alive in scan.blocks():
         for b, j in enumerate(js):
             for k, i in enumerate(order):
@@ -496,7 +495,7 @@ def test_pareto_filter_is_never_empty_and_matches_oracle(stack):
     assert [np.flatnonzero(k).tolist() for k in keep] == [pareto_max_filter(points) for points in stack]
 
 
-def test_classify_filters_once_and_builds_images_only_for_walks(monkeypatch):
+def test_classify_filters_once_and_builds_no_image(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -507,14 +506,47 @@ def test_classify_filters_once_and_builds_images_only_for_walks(monkeypatch):
 
     inst = _near_tie_table(150, seed=0, hull=True)
     monkeypatch.setattr(efficiency, "pareto_filter_max", counted("filter", pareto_filter_max))
-    monkeypatch.setattr(efficiency, "image_dominates", counted("pairs", image_dominates))
-    monkeypatch.setattr(_BlockScan, "_walk", counted("walks", _BlockScan._walk))
+    monkeypatch.setattr(geometry, "image_dominates", counted("pairs", image_dominates))
     monkeypatch.setattr(ObjectiveImage, "__post_init__", counted("images", ObjectiveImage.__post_init__))
+    monkeypatch.setattr(efficiency, "settle", counted("settle", settle))
     classify(inst)
+    assert not hasattr(efficiency, "image_dominates")
     assert calls["filter"] == 1
-    assert calls["pairs"] > 0
-    # each walk builds its target, and each walked pair its dominator
-    assert calls["images"] == calls["walks"] + calls["pairs"]
+    assert calls["settle"] > 0  # the table has pairs that only the LP settles
+    assert calls["pairs"] == 0
+    assert calls["images"] == 0
+
+
+def test_late_round_finds_the_first_dominator_after_kernel_and_settle_misses():
+    # classify decides one surviving pair per open row and round; recount the
+    # rounds of each row pair by pair and pick the rows whose first dominator
+    # comes late, after the kernel missed a pair and settle missed another
+    inst = _near_tie_table(150, seed=0, hull=True)
+    cands = inst.candidate_list()
+    vals = inst.image_tensor()
+    sids = inst.scenarios.ids
+    order = efficiency._search_order(cands)
+    scan = _BlockScan(vals, [sids] * len(cands), order, 1e-9, 1e-9)
+    late = {}
+    for js, _, alive in scan.blocks():
+        for b, j in enumerate(js.tolist()):
+            misses = []
+            for i in order[alive[b]].tolist():
+                found = decide_pairs(vals[i][None], vals[j][None], "hull")
+                if not found.kept[0]:
+                    misses.append("kernel")
+                elif settle(vals[i], vals[j], list(sids), found, 0, "hull") is None:
+                    misses.append("settle")
+                else:
+                    if len(misses) >= 3 and {"kernel", "settle"} <= set(misses):
+                        late[j] = i
+                    break
+    assert late
+    dominators = classify(inst).dominator_index("robust")
+    expected = reference_classify(inst)
+    for j, i in late.items():
+        assert dominators[j] == expected[j][1]["robust"][0] == i
+    _assert_lazy_witnesses_match_image_dominates(inst)
 
 
 def test_cyclic_near_tie_image_classifies():
